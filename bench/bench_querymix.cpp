@@ -22,10 +22,10 @@
 //             dominance interval classifies the targets, then each probe
 //             is a word-parallel range sweep (BitMatrix kernel dispatch).
 //
-// Single thread, static schedule: the ratio isolates the kernel
+// Single thread, one whole-stream chunk: the ratio isolates the kernel
 // amortization, which travels across machines; the work-stealing half of
-// the query path is schedule-equivalence-tested (byte-identical answers)
-// rather than gated here, because multi-core speedups depend on the
+// the query path is equivalence-tested (byte-identical answers) rather
+// than gated here, because multi-core speedups depend on the
 // runner's core count. Answers must be byte-identical across both configs
 // and every pass; the run exits 1 otherwise. One untimed warm pass per
 // config (steady-state prepared cache), then best-of timed passes. Emits
@@ -89,8 +89,9 @@ int main(int Argc, char **Argv) {
   constexpr unsigned QueriesPerBlock = 96;
 
   std::printf("Query-mix shootout: locality-grouped multi-query kernel vs "
-              "arrival order\n(prepared plane, single thread, static "
-              "schedule; skewed stream: hot function,\nZipf-ish hot values, "
+              "arrival order\n(prepared plane, single thread, one "
+              "whole-stream chunk; skewed stream: hot function,\nZipf-ish "
+              "hot values, "
               "interval-concentrated blocks; identical answers enforced;\n"
               "per config: one warm pass, best of %u timed passes)\n\n",
               Reps);
@@ -170,7 +171,9 @@ int main(int Argc, char **Argv) {
     BatchOptions Base;
     Base.Threads = 1;
     Base.Plane = QueryPlane::Prepared;
-    Base.Schedule = BatchSchedule::Static;
+    // One chunk spanning the whole stream: the single worker sorts it in
+    // one piece, as one contiguous span.
+    Base.ChunkSize = NumQueries;
     BatchOptions AOpts = Base, GOpts2 = Base;
     AOpts.GroupChunks = false;
     GOpts2.GroupChunks = true;

@@ -1,40 +1,41 @@
-//===- bench/bench_storage.cpp - Old-vs-new storage layout shootout -------===//
+//===- bench/bench_storage.cpp - Arena engine vs data-flow baseline -------===//
 //
 // Part of the ssalive project, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the arena-backed set storage and the renumbered query plane
-// against the pre-refactor layout, on random strict-SSA procedures across
-// CFG sizes. Each configuration is measured as the *query flow* a client
-// actually runs, not just the innermost scan:
+// Measures the arena-backed liveness-checking engine on its production
+// query flow against the paper's "Native" data-flow comparator, on random
+// strict-SSA procedures across CFG sizes. Each configuration is measured
+// as the *query flow* a client actually runs, not just the innermost scan:
 //
-//   bitset      The pre-refactor flow, preserved verbatim: per query, walk
-//               the value's def-use chain into a block-id span, then query
-//               the TStorage::Bitset engine (one heap BitVector per R/T
-//               row, per-target DT.num() use re-translation, runtime
-//               option branching). This is exactly what FunctionLiveness
-//               and the batch driver did before the refactor — nothing
-//               reusable existed across queries.
-//   arena       The renumbered plane on TStorage::Arena: per *value*, the
-//               chain is walked once and prepared (use numbers sorted/
-//               deduped, def interval coordinates resolved, bitset mask
-//               for high-use-count values); per query only the block is
-//               translated and the specialized kernel runs over
-//               contiguous rows.
-//   sorted      The same prepared flow on TStorage::SortedArray.
-//   block-sweep TStorage::Arena via liveInBlocks/liveOutBlocks — one
-//               two-pass interval sweep per value, then bit tests.
+//   dataflow    DataflowLiveness (core of Section 6.2's "Native"): solved
+//               live-in/live-out sets, one binary search per query.
+//   arena       The prepared plane: per *value*, the chain is walked once
+//               and prepared (use numbers sorted/deduped, def interval
+//               coordinates resolved, bitset mask for high-use-count
+//               values); per query only the block is translated and the
+//               specialized kernel runs over contiguous R/T rows.
 //
 // Queries are drawn per value, mostly from the def's dominance interval
 // (where the variable can be live and real clients ask), value-major —
 // the access pattern of SSA destruction and interference checking.
 //
-// Every configuration must produce byte-identical answers; the run fails
-// otherwise. Each configuration runs one untimed warm pass, then Reps
-// timed passes; the best pass is reported (standard practice to shed
-// scheduler noise). Emits BENCH_storage.json with queries/s, memory
-// bytes, and the arena-vs-bitset speedup per size.
+// Two gates, both failing the run:
+//   * both configurations must produce byte-identical answers;
+//   * the engine's memoryBytes() must stay within the analytic arena size,
+//     2 * n * ceil(n/64) * 8 bytes for the R and T matrices plus the O(n)
+//     per-node side tables — nothing else may be resident.
+// Each configuration runs one untimed warm pass, then Reps timed passes;
+// the best pass is reported (standard practice to shed scheduler noise).
+// Emits BENCH_storage.json with queries/s, memory bytes, and the
+// arena-vs-dataflow speedup per size (tools/bench-compare gates the ratio
+// against bench/baselines/BENCH_storage.json).
+//
+// The paper's Section-6.1 alternatives to the arena (sorted-array T rows,
+// a per-row bitset layout, whole-interval block sweeps) were measured
+// here and lost on speed and memory at every size; README.md records the
+// figures.
 //
 //   bench_storage [--smoke]   --smoke shrinks sizes/reps for CI.
 //
@@ -48,6 +49,7 @@
 #include "core/UseInfo.h"
 #include "ir/CFG.h"
 #include "ir/Function.h"
+#include "liveness/DataflowLiveness.h"
 #include "ssa/SSAConstruction.h"
 #include "workload/CFGGenerator.h"
 #include "workload/ProgramGenerator.h"
@@ -110,23 +112,17 @@ int main(int Argc, char **Argv) {
   unsigned Reps = Smoke ? 2 : 5;
   unsigned BlocksPerVar = Smoke ? 16 : 64;
 
-  std::printf("Storage-plane shootout: pre-refactor bitset flow vs arena / "
-              "sorted / block-sweep\n(single thread; identical answers "
-              "enforced; per config: one warm pass, best of %u\ntimed "
-              "passes; 'bitset' walks the def-use chain per query as the "
-              "old code did,\nthe new planes prepare each value once)\n\n",
+  std::printf("Arena engine vs data-flow baseline (single thread; identical "
+              "answers and the\nanalytic arena size enforced; per config: "
+              "one warm pass, best of %u timed\npasses; the arena flow "
+              "prepares each value once)\n\n",
               Reps);
 
   TablePrinter Table({"Blocks", "Vars", "Queries", "Config", "Mq/s",
                       "Mem(KB)", "Speedup"});
   std::vector<JsonRecord> Records;
   bool AnswersAgree = true;
-  // The acceptance tier: the paper's Section-6.1 "large procedure"
-  // boundary (1024 blocks, its 32x32 break-even). The 2048 tier is kept
-  // as a beyond-L2 stress point — there both layouts stall on the same
-  // DRAM-bound row misses, which compresses the ratio.
-  constexpr unsigned LargeTier = 1024;
-  double LargeSpeedup = 0;
+  bool MemoryWithinBound = true;
   std::vector<std::pair<unsigned, double>> SpeedupBySize;
 
   for (unsigned Blocks : Sizes) {
@@ -145,16 +141,24 @@ int main(int Argc, char **Argv) {
     unsigned N = G.numNodes();
     unsigned MaskThreshold = std::max(8u, (N + 63) / 64);
 
-    // Engines under test: all Propagated T sets, default scan options.
-    LiveCheckOptions BitsetOpts;
-    BitsetOpts.Storage = TStorage::Bitset;
-    LiveCheckOptions ArenaOpts;
-    ArenaOpts.Storage = TStorage::Arena;
-    LiveCheckOptions SortedOpts;
-    SortedOpts.Storage = TStorage::SortedArray;
-    LiveCheck Bitset(G, D, DT, BitsetOpts);
-    LiveCheck Arena(G, D, DT, ArenaOpts);
-    LiveCheck Sorted(G, D, DT, SortedOpts);
+    // Engines under test: Propagated T sets, default scan options.
+    LiveCheck Arena(G, D, DT);
+    DataflowLiveness Dataflow(*F, G, D);
+
+    // The analytic arena size: two N x N bit matrices of ceil(N/64)-word
+    // rows, plus the per-node side tables (maxnum and back-target flag by
+    // preorder number, the propagation self-bit set) and the two matrix
+    // headers.
+    std::size_t RowWords = (N + 63) / 64;
+    std::size_t ArenaBound = 2 * std::size_t(N) * RowWords * 8 +
+                             std::size_t(N) * (sizeof(unsigned) + 1) +
+                             RowWords * 8 + 2 * sizeof(BitMatrix);
+    if (Arena.memoryBytes() > ArenaBound) {
+      std::printf("FAIL: arena engine holds %zu bytes at %u blocks, above "
+                  "the analytic %zu\n",
+                  Arena.memoryBytes(), N, ArenaBound);
+      MemoryWithinBound = false;
+    }
 
     // Queryable values and a value-major query stream. Blocks are drawn
     // 3-in-4 from the def's dominance interval, 1-in-4 uniform (so the
@@ -180,88 +184,57 @@ int main(int Argc, char **Argv) {
 
     std::vector<Candidate> Cands;
 
-    // --- bitset: the pre-refactor flow, chain walk per query. -----------
-    std::vector<unsigned> LegacyUses;
+    // --- dataflow: the solved sets, one lookup per query. -----------------
     Cands.push_back(Candidate{
-        "bitset",
+        "dataflow",
         [&] {
           std::uint64_t H = 0xcbf29ce484222325ull;
           for (const QueryRec &Q : Stream) {
             const Value &V = *Vals[Q.VarIdx];
-            LegacyUses.clear();
-            appendLiveUseBlocks(V, LegacyUses);
-            bool A = Q.IsLiveOut
-                         ? Bitset.isLiveOut(Defs[Q.VarIdx], Q.Block,
-                                            LegacyUses)
-                         : Bitset.isLiveIn(Defs[Q.VarIdx], Q.Block,
-                                           LegacyUses);
+            const BasicBlock &B = *F->block(Q.Block);
+            bool A = Q.IsLiveOut ? Dataflow.isLiveOut(V, B)
+                                 : Dataflow.isLiveIn(V, B);
             H = foldAnswer(H, A);
           }
           return H;
         },
-        Bitset.memoryBytes()});
+        Dataflow.memoryBytes()});
 
-    // --- arena / sorted: the renumbered plane, one preparation per value
-    // (chain walk, numbering, def coordinates, optional mask). -----------
+    // --- arena: the prepared plane, one preparation per value (chain
+    // walk, numbering, def coordinates, optional mask). -------------------
     std::vector<unsigned> Nums;
     BitVector Mask;
-    auto MakePrepared = [&](const LiveCheck &Engine) {
-      return [&] {
-        std::uint64_t H = 0xcbf29ce484222325ull;
-        LiveCheck::PreparedVar PV;
-        std::uint32_t Current = ~0u;
-        for (const QueryRec &Q : Stream) {
-          if (Q.VarIdx != Current) {
-            Current = Q.VarIdx;
-            const Value &V = *Vals[Q.VarIdx];
-            Nums.clear();
-            appendLiveUseBlocks(V, Nums);
-            for (unsigned &U : Nums)
-              U = DT.num(U);
-            std::sort(Nums.begin(), Nums.end());
-            Nums.erase(std::unique(Nums.begin(), Nums.end()), Nums.end());
-            Engine.prepareDef(Defs[Q.VarIdx], PV);
-            PV.NumsBegin = Nums.data();
-            PV.NumsEnd = Nums.data() + Nums.size();
-            if (Nums.size() >= MaskThreshold) {
-              Mask.resize(N);
-              Mask.reset();
-              for (unsigned U : Nums)
-                Mask.set(U);
-              PV.setMask(Mask);
-            } else {
-              PV.clearMask();
-            }
-          }
-          bool A = Q.IsLiveOut ? Engine.isLiveOutPrepared(PV, Q.Block)
-                               : Engine.isLiveInPrepared(PV, Q.Block);
-          H = foldAnswer(H, A);
-        }
-        return H;
-      };
-    };
-    Cands.push_back(
-        Candidate{"arena", MakePrepared(Arena), Arena.memoryBytes()});
-    Cands.push_back(
-        Candidate{"sorted", MakePrepared(Sorted), Sorted.memoryBytes()});
-
-    // --- block-sweep: one interval sweep per value, then bit tests. ------
-    std::vector<unsigned> SweepUses;
-    BitVector In, Out;
     Cands.push_back(Candidate{
-        "block-sweep",
+        "arena",
         [&] {
           std::uint64_t H = 0xcbf29ce484222325ull;
+          LiveCheck::PreparedVar PV;
           std::uint32_t Current = ~0u;
           for (const QueryRec &Q : Stream) {
             if (Q.VarIdx != Current) {
               Current = Q.VarIdx;
               const Value &V = *Vals[Q.VarIdx];
-              SweepUses.clear();
-              appendLiveUseBlocks(V, SweepUses);
-              Arena.liveInOutBlocks(Defs[Q.VarIdx], SweepUses, In, Out);
+              Nums.clear();
+              appendLiveUseBlocks(V, Nums);
+              for (unsigned &U : Nums)
+                U = DT.num(U);
+              std::sort(Nums.begin(), Nums.end());
+              Nums.erase(std::unique(Nums.begin(), Nums.end()), Nums.end());
+              Arena.prepareDef(Defs[Q.VarIdx], PV);
+              PV.NumsBegin = Nums.data();
+              PV.NumsEnd = Nums.data() + Nums.size();
+              if (Nums.size() >= MaskThreshold) {
+                Mask.resize(N);
+                Mask.reset();
+                for (unsigned U : Nums)
+                  Mask.set(U);
+                PV.setMask(Mask);
+              } else {
+                PV.clearMask();
+              }
             }
-            bool A = Q.IsLiveOut ? Out.test(Q.Block) : In.test(Q.Block);
+            bool A = Q.IsLiveOut ? Arena.isLiveOutPrepared(PV, Q.Block)
+                                 : Arena.isLiveInPrepared(PV, Q.Block);
             H = foldAnswer(H, A);
           }
           return H;
@@ -293,18 +266,18 @@ int main(int Argc, char **Argv) {
       Runs.push_back(
           {C.Name, QueriesPerPass / C.BestSecs, C.Checksum, C.MemBytes});
 
-    double BitsetQps = Runs[0].Qps;
+    double DataflowQps = Runs[0].Qps;
     double ArenaSpeedup = 0;
     for (const Run &R : Runs) {
       if (R.Checksum != Runs[0].Checksum) {
-        std::printf("FAIL: %s answers differ from bitset at %u blocks "
+        std::printf("FAIL: %s answers differ from dataflow at %u blocks "
                     "(%016llx vs %016llx)\n",
                     R.Name, Blocks,
                     static_cast<unsigned long long>(R.Checksum),
                     static_cast<unsigned long long>(Runs[0].Checksum));
         AnswersAgree = false;
       }
-      double Speedup = R.Qps / BitsetQps;
+      double Speedup = R.Qps / DataflowQps;
       if (std::strcmp(R.Name, "arena") == 0)
         ArenaSpeedup = Speedup;
       Table.addRow({std::to_string(Blocks), std::to_string(Vals.size()),
@@ -317,11 +290,9 @@ int main(int Argc, char **Argv) {
                             .str("config", R.Name)
                             .num("queries_per_second", R.Qps)
                             .num("memory_bytes", std::uint64_t(R.MemBytes))
-                            .num("speedup_vs_bitset", Speedup));
+                            .num("speedup_vs_dataflow", Speedup));
     }
     SpeedupBySize.push_back({Blocks, ArenaSpeedup});
-    if (Blocks == LargeTier)
-      LargeSpeedup = ArenaSpeedup;
   }
 
   Table.print();
@@ -329,17 +300,16 @@ int main(int Argc, char **Argv) {
   if (!JsonPath.empty())
     std::printf("\nMachine-readable results: %s\n", JsonPath.c_str());
 
-  std::printf("\narena vs pre-refactor bitset:");
+  std::printf("\narena vs dataflow:");
   for (auto [Blocks, S] : SpeedupBySize)
     std::printf(" %.2fx @ %u blocks;", S, Blocks);
   std::printf("\n");
-  if (LargeSpeedup != 0)
-    std::printf("large workload (%u blocks, the paper's Section-6.1 "
-                "large-procedure tier): %.2fx (target >= 1.30x) %s\n",
-                LargeTier, LargeSpeedup,
-                LargeSpeedup >= 1.30 ? "PASS" : "BELOW TARGET");
+  if (!MemoryWithinBound) {
+    std::printf("FAIL: arena engine exceeds its analytic size\n");
+    return 1;
+  }
   if (!AnswersAgree) {
-    std::printf("FAIL: storage planes disagree\n");
+    std::printf("FAIL: arena and dataflow answers disagree\n");
     return 1;
   }
   return 0;

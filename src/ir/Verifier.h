@@ -8,9 +8,10 @@
 /// Structural checks (edge/terminator/φ consistency) plus the strict-SSA
 /// invariants the paper assumes: each variable has a single definition and
 /// every use is dominated by it ("the program is in SSA form and the
-/// dominance property must hold", Section 1). The dominance check here uses
-/// a deliberately naive independent dominance computation, so it doubles as
-/// a cross-check of the production dominator tree in tests.
+/// dominance property must hold", Section 1). The dominance check uses the
+/// production dominator tree's preorder intervals; the naive dominator
+/// computation below stays as the independent reference the dominator-tree
+/// tests compare against.
 ///
 //===----------------------------------------------------------------------===//
 

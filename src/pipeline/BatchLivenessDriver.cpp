@@ -56,12 +56,6 @@ const char *ssalive::batchBackendName(BatchBackend B) {
     return "propagated";
   case BatchBackend::LiveCheckFiltered:
     return "filtered";
-  case BatchBackend::LiveCheckSorted:
-    return "sorted";
-  case BatchBackend::LiveCheckBitset:
-    return "bitset";
-  case BatchBackend::LiveCheckBlockSweep:
-    return "block-sweep";
   case BatchBackend::Dataflow:
     return "dataflow";
   case BatchBackend::PathExploration:
@@ -71,11 +65,7 @@ const char *ssalive::batchBackendName(BatchBackend B) {
 }
 
 bool ssalive::parseBatchBackend(const std::string &Name, BatchBackend &Out) {
-  for (BatchBackend B :
-       {BatchBackend::LiveCheckPropagated, BatchBackend::LiveCheckFiltered,
-        BatchBackend::LiveCheckSorted, BatchBackend::LiveCheckBitset,
-        BatchBackend::LiveCheckBlockSweep, BatchBackend::Dataflow,
-        BatchBackend::PathExploration})
+  for (BatchBackend B : AllBatchBackends)
     if (Name == batchBackendName(B)) {
       Out = B;
       return true;
@@ -83,14 +73,17 @@ bool ssalive::parseBatchBackend(const std::string &Name, BatchBackend &Out) {
   return false;
 }
 
+bool ssalive::isValidBatchBackendId(unsigned Id) {
+  for (BatchBackend B : AllBatchBackends)
+    if (Id == static_cast<unsigned>(B))
+      return true;
+  return false;
+}
+
 const char *ssalive::queryPlaneName(QueryPlane P) {
   switch (P) {
   case QueryPlane::BlockId:
     return "block-id";
-  case QueryPlane::Nums:
-    return "nums";
-  case QueryPlane::Mask:
-    return "mask";
   case QueryPlane::Prepared:
     return "prepared";
   }
@@ -98,8 +91,7 @@ const char *ssalive::queryPlaneName(QueryPlane P) {
 }
 
 bool ssalive::parseQueryPlane(const std::string &Name, QueryPlane &Out) {
-  for (QueryPlane P : {QueryPlane::BlockId, QueryPlane::Nums,
-                       QueryPlane::Mask, QueryPlane::Prepared})
+  for (QueryPlane P : {QueryPlane::BlockId, QueryPlane::Prepared})
     if (Name == queryPlaneName(P)) {
       Out = P;
       return true;
@@ -107,23 +99,9 @@ bool ssalive::parseQueryPlane(const std::string &Name, QueryPlane &Out) {
   return false;
 }
 
-const char *ssalive::batchScheduleName(BatchSchedule S) {
-  switch (S) {
-  case BatchSchedule::Static:
-    return "static";
-  case BatchSchedule::Stealing:
-    return "stealing";
-  }
-  return "unknown";
-}
-
-bool ssalive::parseBatchSchedule(const std::string &Name, BatchSchedule &Out) {
-  for (BatchSchedule S : {BatchSchedule::Static, BatchSchedule::Stealing})
-    if (Name == batchScheduleName(S)) {
-      Out = S;
-      return true;
-    }
-  return false;
+bool ssalive::isValidQueryPlaneId(unsigned Id) {
+  return Id == static_cast<unsigned>(QueryPlane::BlockId) ||
+         Id == static_cast<unsigned>(QueryPlane::Prepared);
 }
 
 std::uint64_t BatchResult::checksum() const {
@@ -145,36 +123,14 @@ LiveCheckStats BatchResult::totalEngineStats() const {
 LiveCheckOptions
 BatchLivenessDriver::liveCheckOptionsFor(BatchBackend B) {
   LiveCheckOptions Opts;
-  switch (B) {
-  case BatchBackend::LiveCheckPropagated:
-  case BatchBackend::LiveCheckBlockSweep:
-    Opts.Mode = TMode::Propagated;
-    Opts.Storage = TStorage::Arena;
-    break;
-  case BatchBackend::LiveCheckFiltered:
-    Opts.Mode = TMode::Filtered;
-    Opts.Storage = TStorage::Arena;
-    break;
-  case BatchBackend::LiveCheckSorted:
-    Opts.Mode = TMode::Propagated;
-    Opts.Storage = TStorage::SortedArray;
-    break;
-  case BatchBackend::LiveCheckBitset:
-    Opts.Mode = TMode::Propagated;
-    Opts.Storage = TStorage::Bitset;
-    break;
-  default:
-    break;
-  }
+  Opts.Mode = B == BatchBackend::LiveCheckFiltered ? TMode::Filtered
+                                                   : TMode::Propagated;
   return Opts;
 }
 
 bool ssalive::batchBackendUsesLiveCheck(BatchBackend B) {
   return B == BatchBackend::LiveCheckPropagated ||
-         B == BatchBackend::LiveCheckFiltered ||
-         B == BatchBackend::LiveCheckSorted ||
-         B == BatchBackend::LiveCheckBitset ||
-         B == BatchBackend::LiveCheckBlockSweep;
+         B == BatchBackend::LiveCheckFiltered;
 }
 
 bool BatchLivenessDriver::usesLiveCheck() const {
@@ -235,10 +191,8 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   SSALIVE_SPAN("query-batch");
   std::vector<const LiveCheck *> Engines;
   std::vector<const DomTree *> Trees;
-  bool NeedsTrees = usesLiveCheck() &&
-                    Opts.Backend != BatchBackend::LiveCheckBlockSweep &&
-                    Opts.Plane != QueryPlane::BlockId;
-  bool UsesPreparedCache = NeedsTrees && Opts.Plane == QueryPlane::Prepared;
+  const bool UsesPreparedCache =
+      usesLiveCheck() && Opts.Plane == QueryPlane::Prepared;
   bool ShardedFill = false;
   {
   SSALIVE_SPAN("precompute");
@@ -256,17 +210,16 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     });
   }
   // Resolve the per-function engines up front so the query loop never
-  // touches the manager's lock. The renumbered planes additionally need
-  // each function's dominator tree to translate use blocks to preorder
-  // numbers.
+  // touches the manager's lock. The prepared plane additionally needs each
+  // function's dominator tree to translate use blocks to preorder numbers.
   if (usesLiveCheck()) {
     Engines.reserve(Funcs.size());
-    if (NeedsTrees)
+    if (UsesPreparedCache)
       Trees.reserve(Funcs.size());
     for (const Function *F : Funcs) {
       FunctionAnalyses &FA = Manager.get(*F);
       Engines.push_back(&FA.liveCheck());
-      if (NeedsTrees)
+      if (UsesPreparedCache)
         Trees.push_back(&FA.domTree());
     }
   }
@@ -351,7 +304,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   // through the scheduler. Each query writes only its own Answers slot and
   // each worker owns its PerThread slot, so the phase stays
   // write-shared-nothing and the result bytes are independent of the
-  // schedule (the scheduler-equivalence suite pins this).
+  // thread count and chunking (the scheduler-equivalence suite pins this).
   auto QueryStart = Clock::now();
   const std::size_t NumQueries = Workload.size();
   std::size_t Chunk = Opts.ChunkSize;
@@ -359,7 +312,6 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     Chunk = std::clamp<std::size_t>(
         NumQueries / (std::size_t(NumWorkers) * 8), 256, 4096);
   const std::size_t NumChunks = (NumQueries + Chunk - 1) / Chunk;
-  const bool Stealing = Opts.Schedule == BatchSchedule::Stealing;
   // One claim cursor per worker over its contiguous queue of chunks.
   // Thieves claim through the same cursor, so fetch_add tickets hand every
   // chunk to exactly one worker with no other synchronization; a skewed
@@ -369,21 +321,19 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     std::atomic<std::size_t> Next{0};
     std::size_t End = 0;
   };
-  std::vector<ChunkCursor> Cursors(Stealing ? NumWorkers : 0);
-  if (Stealing)
-    for (unsigned W = 0; W != NumWorkers; ++W) {
-      Cursors[W].Next.store(NumChunks * W / NumWorkers,
-                            std::memory_order_relaxed);
-      Cursors[W].End = NumChunks * (W + 1) / NumWorkers;
-    }
-  const bool SweepBackend = Opts.Backend == BatchBackend::LiveCheckBlockSweep;
-  const bool GroupedPlanes = Opts.GroupChunks && NeedsTrees;
-  // Dense (function, value) key space for the grouped paths' counting
+  std::vector<ChunkCursor> Cursors(NumWorkers);
+  for (unsigned W = 0; W != NumWorkers; ++W) {
+    Cursors[W].Next.store(NumChunks * W / NumWorkers,
+                          std::memory_order_relaxed);
+    Cursors[W].End = NumChunks * (W + 1) / NumWorkers;
+  }
+  const bool Grouped = Opts.GroupChunks && UsesPreparedCache;
+  // Dense (function, value) key space for the grouped path's counting
   // sort: KeyBase[F] + ValueId enumerates every value of every function
   // without gaps. Recomputed per batch — cheap, and CFG edits can grow a
   // function's value table between runs.
   std::vector<std::uint32_t> KeyBase(Funcs.size() + 1, 0);
-  if (GroupedPlanes || SweepBackend)
+  if (Grouped)
     for (std::size_t F = 0; F != Funcs.size(); ++F)
       KeyBase[F + 1] = KeyBase[F] + Funcs[F]->numValues();
   const std::size_t KeySpace = KeyBase.empty() ? 0 : KeyBase.back();
@@ -397,27 +347,15 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     // across batches: the buffers keep their capacity between runs.
     auto UsesH = pool::scratchArray();
     std::vector<unsigned> &Uses = *UsesH;
-    auto NumsH = pool::scratchArray();
-    std::vector<unsigned> &Nums = *NumsH;
-    auto MaskH = pool::bitsets().acquire();
-    BitVector &Mask = *MaskH;
-    // Grouping scratch: the sorted view of the current span plus the
+    // Grouping scratch: the sorted view of the current chunk plus the
     // probe/answer staging of the multi-query kernel.
     std::vector<std::size_t> Order;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> Keyed;
     std::vector<LiveCheck::PreparedProbe> Probes;
     std::vector<std::uint8_t> RunAnswers;
-    // Block-sweep per-value result cache; lives outside the span loop so a
-    // value continuing across adjacent chunks sweeps once.
-    std::uint32_t CachedFunc = ~0u, CachedVal = ~0u;
-    bool CachedQueryable = false;
-    auto InBlocksH =
-        SweepBackend ? pool::bitsets().acquire() : pool::BitsetPool::Handle();
-    auto OutBlocksH =
-        SweepBackend ? pool::bitsets().acquire() : pool::BitsetPool::Handle();
 
     // Sorted-by-(function, value, index) view of [Begin, End): the grouped
-    // paths answer runs of same-value queries together; the ordering is
+    // path answers runs of same-value queries together; the ordering is
     // deterministic and every answer still lands in its own slot.
     std::vector<std::uint32_t> KeyCount;
     auto sortSpan = [&](std::size_t Begin, std::size_t End) {
@@ -426,7 +364,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
         // Stable counting sort over the dense (function, value) keys:
         // three linear passes, and stability gives the index tiebreak for
         // free. Worth the counter clear only when the span covers a fair
-        // share of the key space — big static spans, not 256-query chunks.
+        // share of the key space — big chunks, not 256-query ones.
         KeyCount.assign(KeySpace + 1, 0);
         for (std::size_t I = Begin; I != End; ++I)
           ++KeyCount[KeyBase[Workload[I].FuncIndex] + Workload[I].ValueId];
@@ -469,50 +407,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       if (queryableValue(V)) {
         if (usesLiveCheck()) {
           const LiveCheck &E = *Engines[Q.FuncIndex];
-          QueryPlane Plane = NeedsTrees ? Opts.Plane : QueryPlane::BlockId;
-          // The non-cached planes re-derive the variable per query (their
-          // role as differential baselines); the cached plane skips the
-          // chain walk entirely.
-          unsigned Def = 0;
-          if (Plane != QueryPlane::Prepared) {
-            Uses.clear();
-            appendLiveUseBlocks(V, Uses);
-            Def = defBlockId(V);
-          }
-          switch (Plane) {
-          case QueryPlane::BlockId:
-            Answer = Q.IsLiveOut
-                         ? E.isLiveOut(Def, Q.BlockId, Uses, &Stats.Engine)
-                         : E.isLiveIn(Def, Q.BlockId, Uses, &Stats.Engine);
-            break;
-          case QueryPlane::Nums: {
-            const DomTree &DT = *Trees[Q.FuncIndex];
-            Nums.clear();
-            for (unsigned U : Uses)
-              Nums.push_back(DT.num(U));
-            Answer = Q.IsLiveOut
-                         ? E.isLiveOutNums(Def, Q.BlockId, Nums.data(),
-                                           Nums.data() + Nums.size(),
-                                           &Stats.Engine)
-                         : E.isLiveInNums(Def, Q.BlockId, Nums.data(),
-                                          Nums.data() + Nums.size(),
-                                          &Stats.Engine);
-            break;
-          }
-          case QueryPlane::Mask: {
-            const DomTree &DT = *Trees[Q.FuncIndex];
-            Mask.resize(E.numNodes());
-            Mask.reset();
-            for (unsigned U : Uses)
-              Mask.set(DT.num(U));
-            Answer = Q.IsLiveOut
-                         ? E.isLiveOutMask(Def, Q.BlockId, Mask,
-                                           &Stats.Engine)
-                         : E.isLiveInMask(Def, Q.BlockId, Mask,
-                                          &Stats.Engine);
-            break;
-          }
-          case QueryPlane::Prepared: {
+          if (UsesPreparedCache) {
             // The cached plane: the precompute phase ensured every
             // workload value, so this is a lock-free table read — no
             // chain walk, no numbering, no allocation per query.
@@ -521,8 +416,14 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
             Answer = Q.IsLiveOut
                          ? E.isLiveOutPrepared(P, Q.BlockId, &Stats.Engine)
                          : E.isLiveInPrepared(P, Q.BlockId, &Stats.Engine);
-            break;
-          }
+          } else {
+            // The block-id oracle re-derives the variable per query.
+            Uses.clear();
+            appendLiveUseBlocks(V, Uses);
+            unsigned Def = defBlockId(V);
+            Answer = Q.IsLiveOut
+                         ? E.isLiveOut(Def, Q.BlockId, Uses, &Stats.Engine)
+                         : E.isLiveIn(Def, Q.BlockId, Uses, &Stats.Engine);
           }
         } else {
           LivenessQueries &B = *Baselines[Q.FuncIndex];
@@ -535,40 +436,11 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     };
 
     auto processSpan = [&](std::size_t Begin, std::size_t End) {
-      if (SweepBackend) {
-        // The sweep computes every block's answer for one variable at once,
-        // so process the span grouped by (function, value).
-        sortSpan(Begin, End);
-        BitVector &InBlocks = *InBlocksH, &OutBlocks = *OutBlocksH;
-        for (std::size_t I : Order) {
-          const BatchQuery &Q = Workload[I];
-          assert(Q.FuncIndex < Funcs.size() && "query function out of range");
-          const Function &F = *Funcs[Q.FuncIndex];
-          const Value &V = *F.value(Q.ValueId);
-          if (Q.FuncIndex != CachedFunc || Q.ValueId != CachedVal) {
-            CachedFunc = Q.FuncIndex;
-            CachedVal = Q.ValueId;
-            CachedQueryable = queryableValue(V);
-            if (CachedQueryable) {
-              Uses.clear();
-              appendLiveUseBlocks(V, Uses);
-              Engines[Q.FuncIndex]->liveInOutBlocks(defBlockId(V), Uses,
-                                                    InBlocks, OutBlocks);
-            }
-          }
-          bool Answer = CachedQueryable &&
-                        (Q.IsLiveOut ? OutBlocks.test(Q.BlockId)
-                                     : InBlocks.test(Q.BlockId));
-          Result.Answers[I] = Answer;
-          Stats.PositiveAnswers += Answer;
-        }
-        return;
-      }
-      if (GroupedPlanes) {
-        // Locality grouping on the renumbered planes: one prepared
-        // variable and one multi-query kernel call per run of
-        // same-(function, value) queries. Sorting is span-local, so the
-        // amortization tracks the stream's actual locality.
+      if (Grouped) {
+        // Locality grouping on the prepared plane: one cached variable and
+        // one multi-query kernel call per run of same-(function, value)
+        // queries. Sorting is chunk-local, so the amortization tracks the
+        // stream's actual locality.
         sortSpan(Begin, End);
         std::size_t K = 0;
         while (K != Order.size()) {
@@ -584,33 +456,8 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
           const Value &V = *F.value(Lead.ValueId);
           if (queryableValue(V)) {
             const LiveCheck &E = *Engines[Lead.FuncIndex];
-            LiveCheck::PreparedVar Local;
-            const LiveCheck::PreparedVar *PV = nullptr;
-            if (Opts.Plane == QueryPlane::Prepared) {
-              PV = &Prepared[Lead.FuncIndex]->cached(V);
-            } else {
-              // The differential planes re-derive the variable — the
-              // translation cost they exist to measure — but now once per
-              // run instead of once per query.
-              Uses.clear();
-              appendLiveUseBlocks(V, Uses);
-              const DomTree &DT = *Trees[Lead.FuncIndex];
-              E.prepareDef(defBlockId(V), Local);
-              if (Opts.Plane == QueryPlane::Nums) {
-                Nums.clear();
-                for (unsigned U : Uses)
-                  Nums.push_back(DT.num(U));
-                Local.NumsBegin = Nums.data();
-                Local.NumsEnd = Nums.data() + Nums.size();
-              } else {
-                Mask.resize(E.numNodes());
-                Mask.reset();
-                for (unsigned U : Uses)
-                  Mask.set(DT.num(U));
-                Local.setMask(Mask);
-              }
-              PV = &Local;
-            }
+            const LiveCheck::PreparedVar &PV =
+                Prepared[Lead.FuncIndex]->cached(V);
             std::size_t RunLen = RunEnd - K;
             Probes.resize(RunLen);
             RunAnswers.resize(RunLen);
@@ -619,7 +466,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
               Probes[J].Block = Q.BlockId;
               Probes[J].IsLiveOut = Q.IsLiveOut;
             }
-            E.answerPreparedRun(*PV, Probes.data(), RunLen,
+            E.answerPreparedRun(PV, Probes.data(), RunLen,
                                 RunAnswers.data(), &Stats.Engine);
             for (std::size_t J = 0; J != RunLen; ++J) {
               Result.Answers[Order[K + J]] = RunAnswers[J];
@@ -634,29 +481,19 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
         answerOne(I);
     };
 
-    if (!Stealing) {
-      std::size_t Begin = NumQueries * Worker / NumWorkers;
-      std::size_t End = NumQueries * (Worker + 1) / NumWorkers;
-      if (Begin != End) {
+    // Drain the own queue first, then visit the other cursors round-robin.
+    // Chunks are never re-added, so one pass over every cursor claims
+    // everything.
+    for (unsigned V = 0; V != NumWorkers; ++V) {
+      unsigned Victim = (Worker + V) % NumWorkers;
+      ChunkCursor &C = Cursors[Victim];
+      while (true) {
+        std::size_t Ticket = C.Next.fetch_add(1, std::memory_order_relaxed);
+        if (Ticket >= C.End)
+          break;
         ++Stats.ChunksClaimed;
-        processSpan(Begin, End);
-      }
-    } else {
-      // Drain the own queue first, then visit the other cursors
-      // round-robin. Chunks are never re-added, so one pass over every
-      // cursor claims everything.
-      for (unsigned V = 0; V != NumWorkers; ++V) {
-        unsigned Victim = (Worker + V) % NumWorkers;
-        ChunkCursor &C = Cursors[Victim];
-        while (true) {
-          std::size_t Ticket = C.Next.fetch_add(1, std::memory_order_relaxed);
-          if (Ticket >= C.End)
-            break;
-          ++Stats.ChunksClaimed;
-          Stats.ChunksStolen += Victim != Worker;
-          processSpan(Ticket * Chunk,
-                      std::min((Ticket + 1) * Chunk, NumQueries));
-        }
+        Stats.ChunksStolen += Victim != Worker;
+        processSpan(Ticket * Chunk, std::min((Ticket + 1) * Chunk, NumQueries));
       }
     }
     Result.PerThread[Worker] = Stats;

@@ -8,12 +8,12 @@
 /// Executes a liveness-query workload over a whole module (set of functions)
 /// concurrently: per-function precomputation fans out across a thread pool,
 /// then the query stream is carved into chunks that workers claim through a
-/// work-stealing scheduler (static contiguous spans remain selectable) and
-/// answer against the shared read-only engines. Within a chunk, queries for
-/// the renumbered planes are grouped by (function, value) so one prepared
-/// variable and one multi-query kernel call serve a whole run of same-value
-/// queries. Answers land in a per-query slot, so the result is byte-identical
-/// for any thread count and any schedule — the amortization story of the
+/// work-stealing scheduler and answer against the shared read-only engines.
+/// Within a chunk, prepared-plane queries are grouped by (function, value)
+/// so one prepared variable and one multi-query kernel call serve a whole
+/// run of same-value queries. Answers land in a per-query slot, so the
+/// result is byte-identical for any thread count and any chunking — the
+/// amortization story of the
 /// paper (one CFG-only precomputation, unboundedly many queries) scaled from
 /// one function to a module under heavy query traffic.
 ///
@@ -37,65 +37,51 @@ class Function;
 class LivenessQueries;
 class ThreadPool;
 
-/// Which engine answers the workload.
-enum class BatchBackend {
-  LiveCheckPropagated, ///< The paper's engine, Section-5.2 T sets (arena).
-  LiveCheckFiltered,   ///< Exact Definition-5 sets + reducible fast path.
-  LiveCheckSorted,     ///< Propagated sets in sorted-array storage.
-  LiveCheckBitset,     ///< Legacy per-row BitVector layout (baseline).
-  LiveCheckBlockSweep, ///< Arena engine answered via liveIn/OutBlocks
-                       ///< sweeps, queries grouped per value.
-  Dataflow,            ///< Iterative data-flow baseline ("Native").
-  PathExploration,     ///< Appel-Palsberg per-variable backwalk baseline.
+/// Which engine answers the workload. The explicit values are the wire ids
+/// of the server protocol's LoadModule command; ids of retired backends
+/// (2, 3, 4) stay unassigned so old clients get an error, not another
+/// engine.
+enum class BatchBackend : std::uint8_t {
+  LiveCheckPropagated = 0, ///< The paper's engine, Section-5.2 T sets.
+  LiveCheckFiltered = 1,   ///< Exact Definition-5 sets + reducible fast path.
+  Dataflow = 5,            ///< Iterative data-flow baseline ("Native").
+  PathExploration = 6,     ///< Appel-Palsberg per-variable backwalk baseline.
 };
+
+/// Every backend, in wire-id order.
+inline constexpr BatchBackend AllBatchBackends[] = {
+    BatchBackend::LiveCheckPropagated, BatchBackend::LiveCheckFiltered,
+    BatchBackend::Dataflow, BatchBackend::PathExploration};
 
 const char *batchBackendName(BatchBackend B);
 
-/// Parses "propagated", "filtered", "sorted", "bitset", "block-sweep",
-/// "dataflow", "path-exploration" (returns false on anything else).
+/// Parses "propagated", "filtered", "dataflow", "path-exploration"
+/// (returns false on anything else).
 bool parseBatchBackend(const std::string &Name, BatchBackend &Out);
 
-/// Which LiveCheck entry point answers each query (LiveCheck backends
-/// other than block-sweep; the baselines and the sweep ignore it). All
-/// planes answer identically — the liveness server exposes the selector so
-/// its differential clients can cross-exercise the whole renumbered query
-/// plane over the wire. Prepared is the default and the only plane with
-/// cross-batch state: the driver keeps a per-function PreparedCache, so a
-/// value queried in any earlier batch costs no chain walk ever again; the
-/// other planes re-derive the variable per query and exist as the
-/// differential surfaces the suites compare against.
+/// True when \p Id is the wire id of a BatchBackend enumerator.
+bool isValidBatchBackendId(unsigned Id);
+
+/// Which LiveCheck entry point answers each query (LiveCheck backends only;
+/// the baselines ignore it). Both planes answer identically. Prepared is
+/// the production default and carries cross-batch state: the driver keeps
+/// a per-function PreparedCache, so a value queried in any earlier batch
+/// costs no chain walk ever again. BlockId re-derives the variable per
+/// query through the classic block-id entry points and is the oracle the
+/// differential suites compare against. Explicit values are wire ids (see
+/// BatchBackend); 1 and 2 are retired.
 enum class QueryPlane : std::uint8_t {
-  BlockId,  ///< Classic block-id spans (isLiveIn/isLiveOut).
-  Nums,     ///< Pre-numbered spans (isLiveInNums/isLiveOutNums).
-  Mask,     ///< Use-number masks (isLiveInMask/isLiveOutMask).
-  Prepared, ///< Cached PreparedVar entries (core/PreparedCache).
+  BlockId = 0,  ///< Classic block-id spans (isLiveIn/isLiveOut).
+  Prepared = 3, ///< Cached PreparedVar entries (core/PreparedCache).
 };
 
 const char *queryPlaneName(QueryPlane P);
 
-/// Parses "block-id", "nums", "mask", "prepared".
+/// Parses "block-id", "prepared".
 bool parseQueryPlane(const std::string &Name, QueryPlane &Out);
 
-/// How phase 2 hands queries to workers. Either way every query writes only
-/// its own Answers slot, so the result bytes are schedule-independent; the
-/// scheduler-equivalence suite pins that.
-enum class BatchSchedule : std::uint8_t {
-  /// Deterministic contiguous spans `[size*W/N, size*(W+1)/N)` — the
-  /// pre-stealing behavior, kept as the differential baseline and for
-  /// reproducing per-worker assignment exactly.
-  Static,
-  /// Work-stealing chunk claiming: the stream is carved into chunks, each
-  /// worker owns a contiguous queue of them behind an atomic cursor, and a
-  /// worker that drains its queue claims from the other cursors round-robin.
-  /// Skewed workloads (hot values concentrating work in a few chunks) no
-  /// longer idle the unlucky workers' siblings.
-  Stealing,
-};
-
-const char *batchScheduleName(BatchSchedule S);
-
-/// Parses "static", "stealing".
-bool parseBatchSchedule(const std::string &Name, BatchSchedule &Out);
+/// True when \p Id is the wire id of a QueryPlane enumerator.
+bool isValidQueryPlaneId(unsigned Id);
 
 /// True when \p B answers through the cached LiveCheck engines (and thus
 /// benefits from AnalysisManager::refresh after CFG edits); false for the
@@ -117,8 +103,8 @@ struct BatchOptions {
   /// when the driver is constructed over a shared pool.
   unsigned Threads = 1;
   /// LiveCheck entry point per query (see QueryPlane). The cached
-  /// prepared plane is the production default; the others re-derive the
-  /// variable per query and serve as differential baselines.
+  /// prepared plane is the production default; block-id re-derives the
+  /// variable per query and serves as the differential oracle.
   QueryPlane Plane = QueryPlane::Prepared;
   /// Sharded cold-fill gate (prepared plane, multi-worker pools only):
   /// when the estimated number of workload queries whose values lack a
@@ -132,19 +118,16 @@ struct BatchOptions {
   /// sweep, not a full pre-scan. 0 forces sharding (tests);
   /// SIZE_MAX disables it.
   std::size_t ColdFillShardThreshold = 4096;
-  /// Phase-2 scheduling policy. Stealing is the production default; Static
-  /// reproduces the deterministic pre-stealing spans (answers are identical
-  /// either way — only the per-worker stats distribution differs).
-  BatchSchedule Schedule = BatchSchedule::Stealing;
-  /// Queries per stealing chunk; 0 picks adaptively from the workload size
-  /// (size / (workers * 8), clamped to [256, 4096]) so skewed workloads
-  /// leave enough chunks to rebalance while small batches stay near one
-  /// claim per worker.
+  /// Queries per work-stealing chunk; 0 picks adaptively from the workload
+  /// size (size / (workers * 8), clamped to [256, 4096]) so skewed
+  /// workloads leave enough chunks to rebalance while small batches stay
+  /// near one claim per worker. A chunk of at least ceil(size / workers)
+  /// gives each worker one contiguous span of the stream.
   std::size_t ChunkSize = 0;
-  /// Group each span/chunk by (function, value) on the renumbered planes so
-  /// a run of same-value queries is answered through one prepared variable
-  /// and one LiveCheck::answerPreparedRun multi-query call. On by default;
-  /// off reproduces per-query arrival order — the baseline bench_querymix
+  /// Group each chunk by (function, value) on the prepared plane so a run
+  /// of same-value queries is answered through one prepared variable and
+  /// one LiveCheck::answerPreparedRun multi-query call. On by default; off
+  /// reproduces per-query arrival order — the baseline bench_querymix
   /// compares against, and a differential surface for the equivalence
   /// suite. (The block-id plane and the non-LiveCheck baselines always run
   /// arrival order: they are the independent oracles.)
@@ -158,8 +141,8 @@ struct BatchOptions {
 /// registry instead (`ssalive_driver_*`).
 struct BatchThreadStats {
   std::uint64_t PositiveAnswers = 0;
-  /// Chunks this worker answered in phase 2 (under Static, 1 per non-empty
-  /// span); ChunksStolen is the subset claimed from another worker's queue.
+  /// Chunks this worker answered in phase 2; ChunksStolen is the subset
+  /// claimed from another worker's queue.
   /// Totals feed `ssalive_driver_chunks_total` / `ssalive_driver_steals_total`.
   std::uint64_t ChunksClaimed = 0;
   std::uint64_t ChunksStolen = 0;

@@ -224,10 +224,12 @@ std::vector<std::uint8_t> Session::handleLoadModule(WireReader &R) {
   std::uint8_t Plane = R.u8();
   if (!R.ok())
     return countedError(ErrorCode::MalformedFrame, "load-module too short");
-  if (Backend > static_cast<std::uint8_t>(BatchBackend::PathExploration))
-    return countedError(ErrorCode::BadBackend, "backend id out of range");
-  if (Plane > static_cast<std::uint8_t>(QueryPlane::Prepared))
-    return countedError(ErrorCode::BadPlane, "query plane id out of range");
+  // Wire ids are the enumerator values; retired ids are rejected rather
+  // than silently mapped onto another engine.
+  if (!isValidBatchBackendId(Backend))
+    return countedError(ErrorCode::BadBackend, "unknown backend id");
+  if (!isValidQueryPlaneId(Plane))
+    return countedError(ErrorCode::BadPlane, "unknown query plane id");
 
   std::string Text = R.rest();
   ModuleParseResult P = parseModule(Text);

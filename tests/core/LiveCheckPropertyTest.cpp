@@ -74,61 +74,31 @@ TEST_P(LiveCheckProperty, AllQueriesMatchOracle) {
     DFS D(G);
     DomTree DT(G, D);
 
-    // Engine variants under test.
-    LiveCheck Propagated(G, D, DT, {TMode::Propagated, true, true,
-                                    TStorage::Bitset});
-    LiveCheck Filtered(G, D, DT, {TMode::Filtered, true, true,
-                                  TStorage::Bitset});
-    LiveCheck NoSkip(G, D, DT, {TMode::Propagated, false, false,
-                                TStorage::Bitset});
-    LiveCheck NoFast(G, D, DT, {TMode::Filtered, true, false,
-                                TStorage::Bitset});
-    LiveCheck Sorted(G, D, DT, {TMode::Propagated, true, true,
-                                TStorage::SortedArray});
-    LiveCheck SortedFiltered(G, D, DT, {TMode::Filtered, true, true,
-                                        TStorage::SortedArray});
-    LiveCheck Arena(G, D, DT, {TMode::Propagated, true, true,
-                               TStorage::Arena});
-    LiveCheck ArenaFiltered(G, D, DT, {TMode::Filtered, true, true,
-                                       TStorage::Arena});
+    // Engine variants under test: both T modes, plus the subtree-skip and
+    // fast-path ablations.
+    LiveCheck Propagated(G, D, DT, {TMode::Propagated, true, true});
+    LiveCheck Filtered(G, D, DT, {TMode::Filtered, true, true});
+    LiveCheck NoSkip(G, D, DT, {TMode::Propagated, false, false});
+    LiveCheck NoFast(G, D, DT, {TMode::Filtered, true, false});
+    const std::pair<const char *, const LiveCheck *> Engines[] = {
+        {"propagated", &Propagated},
+        {"filtered", &Filtered},
+        {"noskip", &NoSkip},
+        {"nofast", &NoFast}};
 
     auto Vars = placeVariables(G, DT, Rng, 12);
     for (const SyntheticVar &V : Vars) {
       for (unsigned Q = 0; Q != G.numNodes(); ++Q) {
         bool WantIn = LivenessOracle::liveInSearch(G, V.Def, V.Uses, Q);
         bool WantOut = LivenessOracle::liveOutSearch(G, V.Def, V.Uses, Q);
-        EXPECT_EQ(Propagated.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Filtered.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(NoSkip.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(NoFast.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Sorted.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(SortedFiltered.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Arena.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(ArenaFiltered.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Propagated.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Filtered.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(NoSkip.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(NoFast.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Sorted.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(SortedFiltered.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Arena.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(ArenaFiltered.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
+        for (const auto &[Name, E] : Engines) {
+          EXPECT_EQ(E->isLiveIn(V.Def, Q, V.Uses), WantIn)
+              << C.Name << " " << Name << " seed " << Seed << " def "
+              << V.Def << " q " << Q;
+          EXPECT_EQ(E->isLiveOut(V.Def, Q, V.Uses), WantOut)
+              << C.Name << " " << Name << " seed " << Seed << " def "
+              << V.Def << " q " << Q;
+        }
       }
     }
   }

@@ -4,10 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The memory-layout contract of LiveCheck: every storage backend (legacy
-// Bitset, SortedArray, BitMatrix Arena) under both T modes must answer
-// every query identically through every entry point — classic block-id
-// spans, pre-numbered spans, use masks, prepared variables, and the
+// The query-plane contract of LiveCheck: the arena engine under both T
+// modes and the subtree-skip / fast-path ablations must answer every query
+// identically through every entry point — classic block-id spans,
+// pre-numbered spans, use masks, prepared variables, and the
 // liveInBlocks/liveOutBlocks batch sweeps — and all of them must match the
 // brute-force oracle on random reducible and irreducible CFGs.
 //
@@ -79,16 +79,14 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
     DomTree DT(G, D);
     unsigned N = G.numNodes();
 
-    // Every storage layout under both T modes.
+    // Both T modes, plus the subtree-skip and fast-path ablations.
     std::vector<std::unique_ptr<LiveCheck>> Engines;
-    for (TMode Mode : {TMode::Propagated, TMode::Filtered})
-      for (TStorage Storage :
-           {TStorage::Bitset, TStorage::SortedArray, TStorage::Arena}) {
-        LiveCheckOptions EOpts;
-        EOpts.Mode = Mode;
-        EOpts.Storage = Storage;
-        Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, EOpts));
-      }
+    for (LiveCheckOptions EOpts :
+         {LiveCheckOptions{TMode::Propagated, true, true},
+          LiveCheckOptions{TMode::Filtered, true, true},
+          LiveCheckOptions{TMode::Propagated, false, false},
+          LiveCheckOptions{TMode::Filtered, true, false}})
+      Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, EOpts));
 
     auto Vars = placeVariables(G, DT, Rng, 10);
     BitVector InSweep, OutSweep, Mask(N);
@@ -127,9 +125,10 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
           auto Ctx = [&](const char *Entry) {
             return ::testing::Message()
                    << C.Name << " seed " << Seed << " def " << V.Def
-                   << " q " << Q << " entry " << Entry << " storage "
-                   << static_cast<int>(E->options().Storage) << " mode "
-                   << static_cast<int>(E->options().Mode);
+                   << " q " << Q << " entry " << Entry << " mode "
+                   << static_cast<int>(E->options().Mode) << " skip "
+                   << E->options().SubtreeSkip << " fast "
+                   << E->options().ReducibleFastPath;
           };
           EXPECT_EQ(E->isLiveIn(V.Def, Q, V.Uses), WantIn) << Ctx("blocks");
           EXPECT_EQ(E->isLiveOut(V.Def, Q, V.Uses), WantOut)
@@ -169,12 +168,11 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
   }
 }
 
-TEST(StoragePlane, MemoryAccountingOrdersLayouts) {
-  // On a loop-bearing graph the arena drops the per-row containers and the
-  // sorted layout drops the T matrix; the honest memoryBytes() must
-  // reflect that ordering, and every term of the accounting (side tables
-  // included) must be covered: an engine is never lighter than its R
-  // payload.
+TEST(StoragePlane, MemoryAccountingIsArenaPlusSideTables) {
+  // A non-incremental engine holds the two packed N x N matrices and the
+  // O(N) side tables, nothing else: memoryBytes() must equal that analytic
+  // size exactly. The incremental engine additionally retains its update
+  // snapshot, which the accounting must show.
   RandomEngine Rng(99);
   CFGGenOptions Opts;
   Opts.TargetBlocks = 200;
@@ -182,21 +180,16 @@ TEST(StoragePlane, MemoryAccountingOrdersLayouts) {
   DFS D(G);
   DomTree DT(G, D);
   unsigned N = G.numNodes();
-  auto Build = [&](TStorage S) {
-    LiveCheckOptions EOpts;
-    EOpts.Storage = S;
-    return std::make_unique<LiveCheck>(G, D, DT, EOpts);
-  };
-  auto Bitset = Build(TStorage::Bitset);
-  auto Sorted = Build(TStorage::SortedArray);
-  auto Arena = Build(TStorage::Arena);
-  std::size_t RPayload = std::size_t(N) * ((N + 63) / 64) * 8;
-  EXPECT_GT(Bitset->memoryBytes(), RPayload);
-  EXPECT_GT(Sorted->memoryBytes(), RPayload);
-  EXPECT_GT(Arena->memoryBytes(), RPayload);
-  // The arena holds two packed matrices and the side tables, nothing else:
-  // it must be the lightest full-T layout.
-  EXPECT_LT(Arena->memoryBytes(), Bitset->memoryBytes());
+  std::size_t RowWords = (N + 63) / 64;
+  std::size_t Analytic = 2 * std::size_t(N) * RowWords * 8 +
+                         std::size_t(N) * (sizeof(unsigned) + 1) +
+                         RowWords * 8 + 2 * sizeof(BitMatrix);
+  LiveCheck Plain(G, D, DT);
+  EXPECT_EQ(Plain.memoryBytes(), Analytic);
+  LiveCheckOptions IncOpts;
+  IncOpts.Incremental = true;
+  LiveCheck Inc(G, D, DT, IncOpts);
+  EXPECT_GT(Inc.memoryBytes(), Analytic);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 using namespace ssalive;
 using namespace ssalive::testutil;
 
@@ -159,6 +161,60 @@ TEST(Verifier, DetectsMissingTerminator) {
   VerifyResult R = verifyStructure(F);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.message().find("terminator"), std::string::npos);
+}
+
+/// Wall-clock seconds of one verifySSA call; \p Ok receives its verdict.
+static double timeVerifySSA(const Function &F, bool &Ok, std::string &Msg) {
+  auto Start = std::chrono::steady_clock::now();
+  VerifyResult R = verifySSA(F);
+  double Secs = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - Start)
+                    .count();
+  Ok = R.ok();
+  Msg = R.message();
+  return Secs;
+}
+
+TEST(Verifier, LongBlockChainIsVerifiedInNearLinearTime) {
+  // A 20k-block straight-line chain: every block's dominator set is its
+  // whole prefix, so any per-block dominator list is quadratic in memory
+  // and time. Each block uses the entry's value and the previous block's.
+  Function F("chain");
+  IRBuilder B(F);
+  B.setInsertBlock(F.createBlock("b0"));
+  Value *A = B.createParam(0, "a");
+  Value *Prev = A;
+  for (unsigned I = 1; I != 20000; ++I) {
+    BasicBlock *Next = F.createBlock("b" + std::to_string(I));
+    B.createJump(Next);
+    B.setInsertBlock(Next);
+    Prev = B.createBinary(Opcode::Add, Prev, A);
+  }
+  B.createRet(Prev);
+  bool Ok = false;
+  std::string Msg;
+  double Secs = timeVerifySSA(F, Ok, Msg);
+  EXPECT_TRUE(Ok) << Msg;
+  EXPECT_LT(Secs, 0.5) << "verifySSA took " << Secs << " s on 20k blocks";
+}
+
+TEST(Verifier, LongSingleBlockIsVerifiedInNearLinearTime) {
+  // 40k instructions in one block, each using its predecessor: every use
+  // is a same-block use, so per-use position scans are quadratic.
+  Function F("flat");
+  IRBuilder B(F);
+  B.setInsertBlock(F.createBlock("e"));
+  Value *C = B.createConst(1, "c");
+  Value *Prev = C;
+  for (unsigned I = 1; I != 40000; ++I)
+    Prev = B.createBinary(Opcode::Add, Prev, C);
+  B.createRet(Prev);
+  bool Ok = false;
+  std::string Msg;
+  double Secs = timeVerifySSA(F, Ok, Msg);
+  EXPECT_TRUE(Ok) << Msg;
+  EXPECT_LT(Secs, 0.5) << "verifySSA took " << Secs
+                       << " s on a 40k-instruction block";
 }
 
 TEST(NaiveDominators, MatchesHandComputedDiamond) {

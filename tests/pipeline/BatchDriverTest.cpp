@@ -78,11 +78,7 @@ TEST(BatchDriver, AllBackendsAgree) {
   ASSERT_FALSE(Workload.empty());
 
   std::vector<std::uint8_t> Reference;
-  for (BatchBackend B :
-       {BatchBackend::LiveCheckPropagated, BatchBackend::LiveCheckFiltered,
-        BatchBackend::LiveCheckSorted, BatchBackend::LiveCheckBitset,
-        BatchBackend::LiveCheckBlockSweep, BatchBackend::Dataflow,
-        BatchBackend::PathExploration}) {
+  for (BatchBackend B : AllBatchBackends) {
     BatchOptions Opts;
     Opts.Backend = B;
     Opts.Threads = 4;
@@ -176,34 +172,33 @@ TEST(BatchDriver, PerThreadStatsCoverTheWholeWorkload) {
       << "only no-use/no-def values skip the engine, and the generator "
          "never draws those";
 
-  // The static schedule keeps the deterministic [size*W/N, size*(W+1)/N)
-  // split, so each worker's share is derivable rather than tallied.
-  BatchOptions StaticOpts;
-  StaticOpts.Threads = 4;
-  StaticOpts.Schedule = BatchSchedule::Static;
-  BatchResult SR = BatchLivenessDriver(M.Funcs, StaticOpts).run(Workload);
+  // A chunk of ceil(size / workers) queries leaves one contiguous span per
+  // worker's queue: exactly one chunk per worker is claimed in total,
+  // whoever claims it, and the answers cannot change.
+  BatchOptions SpanOpts;
+  SpanOpts.Threads = 4;
+  SpanOpts.ChunkSize = (Workload.size() + 3) / 4;
+  BatchResult SR = BatchLivenessDriver(M.Funcs, SpanOpts).run(Workload);
   ASSERT_EQ(SR.PerThread.size(), 4u);
-  for (std::size_t W = 0; W != SR.PerThread.size(); ++W) {
-    const BatchThreadStats &S = SR.PerThread[W];
-    std::uint64_t SpanSize = Workload.size() * (W + 1) / SR.PerThread.size() -
-                             Workload.size() * W / SR.PerThread.size();
-    EXPECT_EQ(S.Engine.LiveInQueries + S.Engine.LiveOutQueries, SpanSize)
-        << "worker " << W << " must execute exactly its span";
-    EXPECT_EQ(S.ChunksClaimed, 1u) << "static spans claim one chunk";
-    EXPECT_EQ(S.ChunksStolen, 0u) << "nothing to steal under static spans";
+  std::uint64_t SpanChunks = 0, SpanQueries = 0;
+  for (const BatchThreadStats &S : SR.PerThread) {
+    SpanChunks += S.ChunksClaimed;
+    SpanQueries += S.Engine.LiveInQueries + S.Engine.LiveOutQueries;
   }
+  EXPECT_EQ(SpanChunks, 4u) << "one whole-span chunk per worker queue";
+  EXPECT_EQ(SpanQueries, std::uint64_t(Workload.size()));
   EXPECT_EQ(SR.Answers, R.Answers)
-      << "schedule must never change the answer bytes";
+      << "chunking must never change the answer bytes";
 }
 
-TEST(BatchDriver, SchedulesAndGroupingAreByteIdentical) {
+TEST(BatchDriver, ThreadCountsAndGroupingAreByteIdentical) {
   // The scheduler-equivalence suite: a skewed workload (hot values
   // concentrating long same-value runs in a few chunks) and a uniform one,
-  // answered under every schedule × grouping × thread-count combination on
-  // every query plane — all byte-identical to the 1-thread static
-  // arrival-order oracle. Tiny chunks force multi-chunk queues so steals
-  // actually happen; this suite runs under TSan in CI, so the atomic
-  // chunk-cursor claiming is race-checked here, not just argued.
+  // answered under every {1 thread, N threads} × {grouped, arrival} ×
+  // {block-id, prepared} combination — all byte-identical to the 1-thread
+  // arrival-order block-id oracle. Tiny chunks force multi-chunk queues so
+  // steals actually happen; this suite runs under TSan in CI, so the
+  // atomic chunk-cursor claiming is race-checked here, not just argued.
   Module M(6, 0x5C4ED);
   std::vector<BatchQuery> Uniform =
       BatchLivenessDriver::generateWorkload(M.Funcs, 0xD1CE, 9000);
@@ -219,44 +214,36 @@ TEST(BatchDriver, SchedulesAndGroupingAreByteIdentical) {
     std::swap(Skewed[I - 1], Skewed[Shuffle.nextBelow(unsigned(I))]);
 
   for (const std::vector<BatchQuery> *Workload : {&Uniform, &Skewed}) {
-    for (QueryPlane Plane : {QueryPlane::BlockId, QueryPlane::Nums,
-                             QueryPlane::Mask, QueryPlane::Prepared}) {
-      BatchOptions Ref;
-      Ref.Threads = 1;
-      Ref.Plane = Plane;
-      Ref.Schedule = BatchSchedule::Static;
-      Ref.GroupChunks = false;
-      BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(*Workload);
-      ASSERT_EQ(Oracle.Answers.size(), Workload->size());
+    BatchOptions Ref;
+    Ref.Threads = 1;
+    Ref.Plane = QueryPlane::BlockId;
+    Ref.GroupChunks = false;
+    BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(*Workload);
+    ASSERT_EQ(Oracle.Answers.size(), Workload->size());
 
-      for (BatchSchedule Schedule :
-           {BatchSchedule::Static, BatchSchedule::Stealing}) {
+    for (QueryPlane Plane : {QueryPlane::BlockId, QueryPlane::Prepared})
+      for (unsigned Threads : {1u, 4u})
         for (bool Group : {false, true}) {
           BatchOptions Opts;
-          Opts.Threads = 4;
+          Opts.Threads = Threads;
           Opts.Plane = Plane;
-          Opts.Schedule = Schedule;
           Opts.GroupChunks = Group;
           Opts.ChunkSize = 128; // Many chunks per worker → real steals.
           BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(*Workload);
           EXPECT_EQ(R.Answers, Oracle.Answers)
-              << "plane " << queryPlaneName(Plane) << " schedule "
-              << batchScheduleName(Schedule) << (Group ? " grouped" : "")
-              << " diverges from the arrival-order oracle";
+              << "plane " << queryPlaneName(Plane) << ", " << Threads
+              << " threads" << (Group ? ", grouped" : ", arrival")
+              << " diverges from the 1-thread arrival-order oracle";
         }
-      }
-    }
   }
 
-  // The baselines and the block-sweep backend ignore the plane but still
-  // ride the new schedulers; pin them on the skewed workload too.
+  // The baselines ignore the plane but still ride the work-stealing
+  // scheduler; pin them on the skewed workload too.
   for (BatchBackend B :
-       {BatchBackend::LiveCheckBlockSweep, BatchBackend::Dataflow,
-        BatchBackend::PathExploration}) {
+       {BatchBackend::Dataflow, BatchBackend::PathExploration}) {
     BatchOptions Ref;
     Ref.Backend = B;
     Ref.Threads = 1;
-    Ref.Schedule = BatchSchedule::Static;
     Ref.GroupChunks = false;
     BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(Skewed);
     BatchOptions Opts;
@@ -266,7 +253,7 @@ TEST(BatchDriver, SchedulesAndGroupingAreByteIdentical) {
     BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(Skewed);
     EXPECT_EQ(R.Answers, Oracle.Answers)
         << "backend " << batchBackendName(B)
-        << " diverges under stealing from its static 1-thread run";
+        << " diverges under stealing from its 1-thread run";
   }
 }
 
@@ -317,25 +304,4 @@ TEST(BatchDriver, ShardedColdFillMatchesSequentialByteForByte) {
   Disabled.ColdFillShardThreshold = SIZE_MAX;
   BatchResult R = BatchLivenessDriver(M.Funcs, Disabled).run(Workload);
   EXPECT_EQ(R.Answers, Reference.Answers);
-}
-
-TEST(BatchDriver, BlockSweepDeterministicAcrossThreadCounts) {
-  // The block-sweep backend reorders each worker's span by (function,
-  // value) to amortize the interval sweeps; answers must still land in
-  // their own slots, byte-identical for every thread count.
-  Module M(6, 0xF00D);
-  std::vector<BatchQuery> Workload =
-      BatchLivenessDriver::generateWorkload(M.Funcs, 0xABC, 8000);
-  ASSERT_FALSE(Workload.empty());
-  BatchOptions Single;
-  Single.Backend = BatchBackend::LiveCheckBlockSweep;
-  Single.Threads = 1;
-  BatchResult Reference = BatchLivenessDriver(M.Funcs, Single).run(Workload);
-  for (unsigned Threads : {2u, 5u}) {
-    BatchOptions Opts = Single;
-    Opts.Threads = Threads;
-    BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(Workload);
-    EXPECT_EQ(R.Answers, Reference.Answers)
-        << Threads << "-thread block-sweep diverges";
-  }
 }

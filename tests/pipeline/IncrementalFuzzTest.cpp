@@ -11,10 +11,10 @@
 // and at the IR level AnalysisManager::refresh — must answer exactly like
 // a from-scratch rebuild: identical dominator trees (idoms and preorder
 // numbering, cross-checked against Lengauer-Tarjan as a second opinion),
-// identical R/T set contents, and identical liveness answers across every
-// TStorage layout and every query entry point (block-id spans, pre-
-// numbered spans, use masks, PreparedVar, and the whole-interval
-// block sweeps). On a mismatch the failing sequence is reported as a
+// identical R/T set contents, and identical liveness answers under both T
+// modes, for the in-place row repatch and the full-recompute fallback
+// alike, through every query entry point (block-id spans, pre-numbered
+// spans, use masks, PreparedVar, and the whole-interval block sweeps). On a mismatch the failing sequence is reported as a
 // replayable (seed, mode, step) triple.
 //
 //===----------------------------------------------------------------------===//
@@ -79,13 +79,7 @@ struct Rig {
   LiveCheck LC;
 
   Rig(const CFG &G, std::string Name, LiveCheckOptions O)
-      : Name(std::move(Name)), D(G), DT(G, D),
-        LC(G, D, DT, withIncremental(O)) {}
-
-  static LiveCheckOptions withIncremental(LiveCheckOptions O) {
-    O.Incremental = true;
-    return O;
-  }
+      : Name(std::move(Name)), D(G), DT(G, D), LC(G, D, DT, O) {}
 
   void step(const CFG &G, CFGDeltaSpan Span) {
     D.applyUpdates(Span.first, Span.second);
@@ -264,23 +258,23 @@ unsigned runCFGFuzz(std::uint64_t Seed, bool Reducible, unsigned Steps) {
   GOpts.GotoEdges = Reducible ? 0 : 3;
   CFG G = generateCFG(GOpts, Rng);
 
-  // Every storage layout, both T modes. Arena rigs take the row-repatch
-  // path; Bitset and SortedArray exercise update()'s in-place full
-  // recompute fallback.
-  LiveCheckOptions ArenaProp;
-  LiveCheckOptions ArenaFilt;
-  ArenaFilt.Mode = TMode::Filtered;
-  LiveCheckOptions BitsetProp;
-  BitsetProp.Storage = TStorage::Bitset;
-  LiveCheckOptions SortedFilt;
-  SortedFilt.Mode = TMode::Filtered;
-  SortedFilt.Storage = TStorage::SortedArray;
+  // Both T modes. Incremental rigs take the row-repatch path; the
+  // Incremental=false rigs exercise update()'s in-place full recompute
+  // fallback, so the repatch is diffed against a recompute of the same
+  // engine as well as against fresh construction.
+  LiveCheckOptions IncProp;
+  IncProp.Incremental = true;
+  LiveCheckOptions IncFilt = IncProp;
+  IncFilt.Mode = TMode::Filtered;
+  LiveCheckOptions FullProp;
+  LiveCheckOptions FullFilt;
+  FullFilt.Mode = TMode::Filtered;
 
   std::vector<std::unique_ptr<Rig>> Rigs;
-  Rigs.push_back(std::make_unique<Rig>(G, "arena/prop", ArenaProp));
-  Rigs.push_back(std::make_unique<Rig>(G, "arena/filt", ArenaFilt));
-  Rigs.push_back(std::make_unique<Rig>(G, "bitset/prop", BitsetProp));
-  Rigs.push_back(std::make_unique<Rig>(G, "sorted/filt", SortedFilt));
+  Rigs.push_back(std::make_unique<Rig>(G, "incremental/prop", IncProp));
+  Rigs.push_back(std::make_unique<Rig>(G, "incremental/filt", IncFilt));
+  Rigs.push_back(std::make_unique<Rig>(G, "recompute/prop", FullProp));
+  Rigs.push_back(std::make_unique<Rig>(G, "recompute/filt", FullFilt));
 
   CFGMutatorOptions MOpts;
   MOpts.PreserveReducibility = Reducible;
@@ -318,19 +312,20 @@ unsigned runCFGFuzz(std::uint64_t Seed, bool Reducible, unsigned Steps) {
       std::string RTag = Tag + " [" + R->Name + "]";
       if (!compareEngines(R->LC, R->DT, Fresh, FreshDT, Vars, Rng, RTag))
         return Executed;
-      // Bit-exact set equality: cheap at this size for the arena rigs
-      // (the repatch path), sampled implicitly through queries elsewhere.
-      if (R->LC.options().Storage == TStorage::Arena)
-        if (!compareSets(R->LC, Fresh, RTag))
-          return Executed;
+      // Bit-exact set equality: cheap at this size.
+      if (!compareSets(R->LC, Fresh, RTag))
+        return Executed;
     }
   }
 
-  // The campaign must actually exercise the incremental plane.
-  const auto &ArenaStats = Rigs[0]->LC.updateStats();
-  EXPECT_GT(ArenaStats.IncrementalRepatches, Executed / 4)
-      << "seed=" << Seed << ": the arena rig almost never took the "
+  // The campaign must actually exercise the incremental plane, and the
+  // recompute rigs must never take it.
+  const auto &IncStats = Rigs[0]->LC.updateStats();
+  EXPECT_GT(IncStats.IncrementalRepatches, Executed / 4)
+      << "seed=" << Seed << ": the incremental rig almost never took the "
       << "row-repatch path; the fuzz is not testing what it claims";
+  EXPECT_EQ(Rigs[2]->LC.updateStats().IncrementalRepatches, 0u)
+      << "seed=" << Seed;
   EXPECT_GT(Rigs[0]->DT.updateStats().ScopedRepairs, 0u) << "seed=" << Seed;
   return Executed;
 }
