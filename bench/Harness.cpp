@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <thread>
 
 using namespace ssalive;
 using namespace ssalive::bench;
@@ -92,6 +93,22 @@ std::string JsonRecord::render() const {
   return Out + "}";
 }
 
+/// The first "model name" of /proc/cpuinfo, or "unknown".
+static std::string cpuModel() {
+  std::ifstream In("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(In, Line)) {
+    if (Line.compare(0, 10, "model name") != 0)
+      continue;
+    std::size_t Colon = Line.find(':');
+    if (Colon == std::string::npos)
+      break;
+    std::size_t Begin = Line.find_first_not_of(" \t", Colon + 1);
+    return Begin == std::string::npos ? "unknown" : Line.substr(Begin);
+  }
+  return "unknown";
+}
+
 std::string
 ssalive::bench::writeBenchJson(const std::string &Name,
                                const std::vector<JsonRecord> &Records) {
@@ -99,7 +116,12 @@ ssalive::bench::writeBenchJson(const std::string &Name,
   std::ofstream Out(Path);
   if (!Out)
     return "";
-  Out << "{\"bench\": \"" << Name << "\", \"records\": [\n";
+  JsonRecord Host;
+  Host.num("nproc", std::uint64_t(std::thread::hardware_concurrency()))
+      .str("cpu_model", cpuModel())
+      .str("build_type", SSALIVE_BUILD_TYPE);
+  Out << "{\"bench\": \"" << Name << "\", \"host\": " << Host.render()
+      << ", \"records\": [\n";
   for (size_t I = 0; I != Records.size(); ++I)
     Out << "  " << Records[I].render() << (I + 1 != Records.size() ? ",\n"
                                                                    : "\n");

@@ -55,8 +55,11 @@ private:
   std::vector<std::pair<std::string, std::string>> Fields;
 };
 
-/// Writes {"bench": <name>, "records": [<records>]} to BENCH_<name>.json in
-/// the working directory. Returns the path written, or "" on I/O failure.
+/// Writes {"bench": <name>, "host": {...}, "records": [<records>]} to
+/// BENCH_<name>.json in the working directory. "host" records where the
+/// numbers came from — nproc, the CPU model name and the build type — so
+/// tools/bench-compare can flag cross-host comparisons. Returns the path
+/// written, or "" on I/O failure.
 std::string writeBenchJson(const std::string &Name,
                            const std::vector<JsonRecord> &Records);
 

@@ -52,32 +52,47 @@ double medianUs(std::vector<double> &V) {
   return V[V.size() / 2];
 }
 
-/// Folds a spread of liveness answers from \p LC into a checksum; both
-/// managers' engines must produce identical streams.
-std::uint64_t answerChecksum(const LiveCheck &LC, const Function &F,
-                             RandomEngine &Rng) {
+/// Folds a spread of liveness answers from \p FA's engine into a
+/// checksum — every block in both directions, one answerPreparedRun call
+/// per sampled value; both managers' engines must produce identical
+/// streams.
+std::uint64_t answerChecksum(FunctionAnalyses &FA) {
+  const LiveCheck &LC = FA.liveCheck();
+  const DomTree &DT = FA.domTree();
   std::uint64_t Sum = 0xcbf29ce484222325ull;
   unsigned N = LC.numNodes();
-  BitVector In, Out;
+  std::vector<LiveCheck::PreparedProbe> Probes;
+  for (unsigned B = 0; B != N; ++B)
+    Probes.push_back({B, /*IsLiveOut=*/false});
+  for (unsigned B = 0; B != N; ++B)
+    Probes.push_back({B, /*IsLiveOut=*/true});
+  std::vector<std::uint8_t> Answers(Probes.size());
+  std::vector<unsigned> Nums;
   unsigned Sampled = 0;
-  for (const auto &V : F.values()) {
+  for (const auto &V : FA.function().values()) {
     if (V->defs().size() != 1)
       continue;
     std::vector<unsigned> Uses = liveUseBlocks(*V);
     if (Uses.empty())
       continue;
     unsigned Def = defBlockId(*V);
-    LC.liveInOutBlocks(Def, Uses, In, Out);
-    for (unsigned B = In.findFirstSet(); B != BitVector::npos;
-         B = In.findNextSet(B + 1))
-      Sum = (Sum ^ (std::uint64_t(Def) * 131 + B)) * 0x100000001b3ull;
-    for (unsigned B = Out.findFirstSet(); B != BitVector::npos;
-         B = Out.findNextSet(B + 1))
-      Sum = (Sum ^ (std::uint64_t(Def) * 137 + B + N)) * 0x100000001b3ull;
+    Nums.clear();
+    for (unsigned U : Uses)
+      Nums.push_back(DT.num(U));
+    LiveCheck::PreparedVar PV;
+    LC.prepareDef(Def, PV);
+    PV.NumsBegin = Nums.data();
+    PV.NumsEnd = Nums.data() + Nums.size();
+    LC.answerPreparedRun(PV, Probes.data(), Probes.size(), Answers.data());
+    for (unsigned B = 0; B != N; ++B)
+      if (Answers[B])
+        Sum = (Sum ^ (std::uint64_t(Def) * 131 + B)) * 0x100000001b3ull;
+    for (unsigned B = 0; B != N; ++B)
+      if (Answers[N + B])
+        Sum = (Sum ^ (std::uint64_t(Def) * 137 + B + N)) * 0x100000001b3ull;
     if (++Sampled == 48)
       break;
   }
-  (void)Rng;
   return Sum;
 }
 
@@ -142,10 +157,8 @@ TierResult runTier(unsigned Blocks, unsigned Edits, unsigned Reps,
     MOpts.PreserveReducibility = true;
     MOpts.LocalityWindow = 12;
 
-    RandomEngine QRng(Blocks + 5);
     FunctionAnalyses *RefreshFA = &RefreshAM.get(*F);
-    const LiveCheck *PrevRefreshLC = &RefreshFA->liveCheck();
-    const LiveCheck *PrevRebuildLC = &RebuildAM.get(*F).liveCheck();
+    FunctionAnalyses *RebuildFA = &RebuildAM.get(*F);
     unsigned Measured = 0;
     for (unsigned Edit = 0; Edit != Edits; ++Edit) {
       if (!mutateFunctionCFG(*F, Rng, MOpts))
@@ -156,28 +169,26 @@ TierResult runTier(unsigned Blocks, unsigned Edits, unsigned Reps,
       // would otherwise evict both engines and time cold misses instead
       // of the repair itself. Touching each engine's (momentarily stale)
       // precomputation stands in for that traffic, symmetrically.
-      (void)answerChecksum(*PrevRefreshLC, *F, QRng);
+      (void)answerChecksum(*RefreshFA);
       // Stats are read off the live cache entry, never through get():
       // a stale-epoch get() would rebuild the entry and void the
       // measurement.
       std::uint64_t ShortcutsBefore =
           RefreshFA->domTree().updateStats().NoChangeShortcuts;
       auto T0 = Clock::now();
-      FunctionAnalyses &FA = RefreshAM.refresh(*F);
-      const LiveCheck &RefreshedLC = FA.liveCheck();
+      RefreshFA = &RefreshAM.refresh(*F);
+      (void)RefreshFA->liveCheck();
       auto T1 = Clock::now();
-      RefreshFA = &FA;
       bool LoopEdit =
           RefreshFA->domTree().updateStats().NoChangeShortcuts !=
           ShortcutsBefore;
 
-      (void)answerChecksum(*PrevRebuildLC, *F, QRng);
+      (void)answerChecksum(*RebuildFA);
       RebuildAM.invalidate(*F);
       auto T2 = Clock::now();
-      const LiveCheck &RebuiltLC = RebuildAM.get(*F).liveCheck();
+      RebuildFA = &RebuildAM.get(*F);
+      (void)RebuildFA->liveCheck();
       auto T3 = Clock::now();
-      PrevRefreshLC = &RefreshedLC;
-      PrevRebuildLC = &RebuiltLC;
 
       double RefreshUs =
           std::chrono::duration<double, std::micro>(T1 - T0).count();
@@ -193,8 +204,7 @@ TierResult runTier(unsigned Blocks, unsigned Edits, unsigned Reps,
       }
       ++Measured;
 
-      if (answerChecksum(RefreshedLC, *F, QRng) !=
-          answerChecksum(RebuiltLC, *F, QRng)) {
+      if (answerChecksum(*RefreshFA) != answerChecksum(*RebuildFA)) {
         std::fprintf(stderr,
                      "FATAL: refresh/rebuild answer divergence at tier %u "
                      "edit %u\n",

@@ -92,6 +92,45 @@ struct MaskUses {
   }
 };
 
+/// A block-id use span numbered once per query — O(uses) instead of
+/// O(targets x uses). Small spans (the overwhelming majority, per the
+/// paper's Table 1 use distribution) stay on the stack and are not worth
+/// sorting: duplicates only cost a redundant bit probe. Large spans get
+/// deduplicated so the probe loop shrinks.
+class NumberedUses {
+public:
+  NumberedUses(const DomTree &DT, const unsigned *Begin,
+               const unsigned *End) {
+    std::size_t Count = static_cast<std::size_t>(End - Begin);
+    if (Count > 64) {
+      Heap.resize(Count);
+      Buf = Heap.data();
+    }
+    for (std::size_t I = 0; I != Count; ++I)
+      Buf[I] = DT.num(Begin[I]);
+    BufEnd = Buf + Count;
+    if (Count > 8) {
+      std::sort(Buf, BufEnd);
+      BufEnd = std::unique(Buf, BufEnd);
+    }
+  }
+
+  /// Points \p V's span at the numbers.
+  void attach(LiveCheck::PreparedVar &V) const {
+    V.NumsBegin = Buf;
+    V.NumsEnd = BufEnd;
+  }
+
+private:
+  unsigned Stack[64];
+  std::vector<unsigned> Heap;
+  unsigned *Buf = Stack;
+  unsigned *BufEnd = Stack;
+};
+
+/// Drops \p C's contents and its storage (unlike clear()).
+template <class T> void releaseStorage(T &C) { C = T(); }
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -145,37 +184,6 @@ bool LiveCheck::numSpanKernel(const LiveCheck &LC, unsigned DefNum,
 }
 
 template <bool Skip, bool FP>
-bool LiveCheck::renumberingKernel(const LiveCheck &LC, unsigned DefNum,
-                                  unsigned MaxDom, unsigned QNum,
-                                  const unsigned *Begin, const unsigned *End,
-                                  bool ExcludeTrivialQ,
-                                  LiveCheckStats *Sink) {
-  // Block-id entry: number the span once up front — O(uses) instead of
-  // O(targets x uses) — then run the numbered kernel.
-  // Small spans (the overwhelming majority, per the paper's Table 1 use
-  // distribution) stay on the stack and are not worth sorting: duplicates
-  // only cost a redundant bit probe. Large spans get deduplicated so the
-  // probe loop shrinks.
-  unsigned Stack[64];
-  std::vector<unsigned> Heap;
-  std::size_t Count = static_cast<std::size_t>(End - Begin);
-  unsigned *Buf = Stack;
-  if (Count > 64) {
-    Heap.resize(Count);
-    Buf = Heap.data();
-  }
-  for (std::size_t I = 0; I != Count; ++I)
-    Buf[I] = LC.DT.num(Begin[I]);
-  unsigned *NewEnd = Buf + Count;
-  if (Count > 8) {
-    std::sort(Buf, NewEnd);
-    NewEnd = std::unique(Buf, NewEnd);
-  }
-  return numSpanKernel<Skip, FP>(LC, DefNum, MaxDom, QNum, Buf, NewEnd,
-                                 ExcludeTrivialQ, Sink);
-}
-
-template <bool Skip, bool FP>
 bool LiveCheck::maskKernel(const LiveCheck &LC, unsigned DefNum,
                            unsigned MaxDom, unsigned QNum,
                            const std::uint64_t *MaskWords,
@@ -195,7 +203,6 @@ template <bool Skip> void LiveCheck::bindKernelsSkip() {
 }
 
 template <bool Skip, bool FP> void LiveCheck::bindKernelsFull() {
-  BlockScan = &LiveCheck::renumberingKernel<Skip, FP>;
   NumScan = &LiveCheck::numSpanKernel<Skip, FP>;
   MaskScan = &LiveCheck::maskKernel<Skip, FP>;
 }
@@ -457,11 +464,15 @@ void LiveCheck::captureCoordSnapshots() {
 
 void LiveCheck::captureSnapshots() {
   if (!Opts.Incremental) {
-    SnapNodeAtNum.clear();
-    SnapBackEdges.clear();
-    UpdTargetT.clear();
-    UpdAtSource.clear();
-    TargetContrib.clear();
+    // The compute pass routes through the update-only members; without
+    // incremental updates nothing reads them again, so release their
+    // storage (clear() would keep the per-node outer buffers resident).
+    releaseStorage(SnapNodeAtNum);
+    releaseStorage(SnapBackEdges);
+    releaseStorage(UpdTargetT);
+    releaseStorage(UpdAtSource);
+    releaseStorage(TargetContrib);
+    releaseStorage(SelfInPropNode);
     return;
   }
   captureCoordSnapshots();
@@ -1078,194 +1089,49 @@ void LiveCheck::update(const CFGDelta *B, const CFGDelta *E) {
 bool LiveCheck::isLiveIn(unsigned DefBlock, unsigned Q,
                          const unsigned *UsesBegin, const unsigned *UsesEnd,
                          LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveInQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned MaxDom = DT.maxnum(DefBlock);
+  PreparedVar V;
+  prepareDef(DefBlock, V);
   unsigned QNum = DT.num(Q);
   // Lemma 2 precondition: q must be strictly dominated by the definition,
   // otherwise some entry path reaches q after any use path, contradicting
-  // strictness.
-  if (QNum <= DefNum || MaxDom < QNum)
+  // strictness. Checked before the span is numbered.
+  if (QNum <= V.DefNum || V.MaxDom < QNum) {
+    if (Sink)
+      ++Sink->LiveInQueries;
     return false;
-  return BlockScan(*this, DefNum, MaxDom, QNum, UsesBegin, UsesEnd,
-                   /*ExcludeTrivialQ=*/false, Sink);
+  }
+  NumberedUses Nums(DT, UsesBegin, UsesEnd);
+  Nums.attach(V);
+  return isLiveInPrepared(V, Q, Sink);
 }
 
 bool LiveCheck::isLiveOut(unsigned DefBlock, unsigned Q,
                           const unsigned *UsesBegin, const unsigned *UsesEnd,
                           LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveOutQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned QNum = DT.num(Q);
   // Algorithm 2 case 1: at the definition block itself the variable is
   // live-out iff it has any use elsewhere (such a use is dominated by def,
   // so some def-free path from a successor reaches it).
   if (DefBlock == Q) {
+    if (Sink)
+      ++Sink->LiveOutQueries;
     for (const unsigned *U = UsesBegin; U != UsesEnd; ++U)
       if (*U != DefBlock)
         return true;
     return false;
   }
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  if (QNum <= DefNum || MaxDom < QNum)
+  PreparedVar V;
+  prepareDef(DefBlock, V);
+  unsigned QNum = DT.num(Q);
+  if (QNum <= V.DefNum || V.MaxDom < QNum) {
+    if (Sink)
+      ++Sink->LiveOutQueries;
     return false;
+  }
   // Algorithm 2 case 2: as live-in, but the witness path must be
   // non-trivial; only the (t = q, use at q) combination is affected.
-  return BlockScan(*this, DefNum, MaxDom, QNum, UsesBegin, UsesEnd,
-                   /*ExcludeTrivialQ=*/true, Sink);
-}
-
-bool LiveCheck::isLiveInNums(unsigned DefBlock, unsigned Q,
-                             const unsigned *NumsBegin,
-                             const unsigned *NumsEnd,
-                             LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveInQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  unsigned QNum = DT.num(Q);
-  if (QNum <= DefNum || MaxDom < QNum)
-    return false;
-  return NumScan(*this, DefNum, MaxDom, QNum, NumsBegin, NumsEnd,
-                 /*ExcludeTrivialQ=*/false, Sink);
-}
-
-bool LiveCheck::isLiveOutNums(unsigned DefBlock, unsigned Q,
-                              const unsigned *NumsBegin,
-                              const unsigned *NumsEnd,
-                              LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveOutQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned QNum = DT.num(Q);
-  if (DefBlock == Q) {
-    // num() is a bijection, so "any use block != def" is "any num != DefNum".
-    for (const unsigned *U = NumsBegin; U != NumsEnd; ++U)
-      if (*U != DefNum)
-        return true;
-    return false;
-  }
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  if (QNum <= DefNum || MaxDom < QNum)
-    return false;
-  return NumScan(*this, DefNum, MaxDom, QNum, NumsBegin, NumsEnd,
-                 /*ExcludeTrivialQ=*/true, Sink);
-}
-
-bool LiveCheck::isLiveInMask(unsigned DefBlock, unsigned Q,
-                             const BitVector &UseMask,
-                             LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveInQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  unsigned QNum = DT.num(Q);
-  if (QNum <= DefNum || MaxDom < QNum)
-    return false;
-  return MaskScan(*this, DefNum, MaxDom, QNum, UseMask.words(),
-                  UseMask.numWordsInUse(), /*ExcludeTrivialQ=*/false, Sink);
-}
-
-bool LiveCheck::isLiveOutMask(unsigned DefBlock, unsigned Q,
-                              const BitVector &UseMask,
-                              LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveOutQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned QNum = DT.num(Q);
-  if (DefBlock == Q)
-    return UseMask.anyExcept(DefNum);
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  if (QNum <= DefNum || MaxDom < QNum)
-    return false;
-  return MaskScan(*this, DefNum, MaxDom, QNum, UseMask.words(),
-                  UseMask.numWordsInUse(), /*ExcludeTrivialQ=*/true, Sink);
-}
-
-//===----------------------------------------------------------------------===//
-// Batch sweep
-//===----------------------------------------------------------------------===//
-
-void LiveCheck::liveBlocksImpl(unsigned DefBlock, const unsigned *UsesBegin,
-                               const unsigned *UsesEnd, BitVector *In,
-                               BitVector *Out) const {
-  if (In) {
-    In->resize(NumNodes);
-    In->reset();
-  }
-  if (Out) {
-    Out->resize(NumNodes);
-    Out->reset();
-  }
-  if (UsesBegin == UsesEnd)
-    return;
-  // Algorithm 2 case 1 at the def block itself.
-  if (Out)
-    for (const unsigned *U = UsesBegin; U != UsesEnd; ++U)
-      if (*U != DefBlock) {
-        Out->set(DefBlock);
-        break;
-      }
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  if (MaxDom <= DefNum)
-    return; // Def dominates nothing strictly: nothing else can be live.
-  auto UseMaskH = pool::scratchBitset(NumNodes);
-  BitVector &UseMask = *UseMaskH;
-  for (const unsigned *U = UsesBegin; U != UsesEnd; ++U)
-    UseMask.set(DT.num(*U));
-
-  unsigned Lo = DefNum + 1;
-
-  // Two linear passes over the arena instead of one scan per block, shared
-  // between the two directions.
-  //
-  // Pass 1 marks the "good" targets: t ∈ (DefNum, MaxDom] with
-  // R_t ∩ uses != ∅ (the body of Algorithm 1 line 4, evaluated once per
-  // node instead of once per (q, t) pair). For live-out, the t = q
-  // self-target needs Algorithm 2's line-8 exclusion, so its verdict is
-  // tracked separately in GoodSelf.
-  //
-  // Pass 2 answers every q at once: q is live iff T_q meets a good target
-  // inside the interval — a masked word-sweep intersection per row. The
-  // existential formulation matches the scan kernels including the
-  // Theorem-2 fast path: on reducible CFGs the most-dominating target's
-  // verdict agrees with the disjunction over all targets.
-  unsigned Stride = RMat.strideWords();
-  const BitMatrix::Word *MaskW = UseMask.words();
-  auto GoodH = pool::scratchBitset(NumNodes);
-  BitVector &Good = *GoodH;
-  auto GoodSelfH = Out ? pool::scratchBitset(NumNodes)
-                       : pool::BitsetPool::Handle();
-  BitVector *GoodSelf = Out ? &*GoodSelfH : nullptr;
-  for (unsigned T = Lo; T <= MaxDom; ++T) {
-    const BitMatrix::Word *R = RMat.row(T);
-    bool Any = BitMatrix::wordsAnyCommon(R, MaskW, Stride);
-    if (Any)
-      Good.set(T);
-    if (Out) {
-      bool Self = BackTargetByNum[T]
-                      ? Any
-                      : BitMatrix::wordsAnyCommon(R, MaskW, Stride,
-                                                  /*ExcludeBit=*/T);
-      if (Self)
-        GoodSelf->set(T);
-    }
-  }
-  const BitMatrix::Word *GoodW = Good.words();
-  for (unsigned Q = Lo; Q <= MaxDom; ++Q) {
-    const BitMatrix::Word *T = TMat.row(Q);
-    if (In && BitMatrix::wordsAnyCommonInRange(T, GoodW, Lo, MaxDom))
-      In->set(DT.nodeAtNum(Q));
-    // T_q always holds q itself; route that one target through GoodSelf
-    // and exclude it from the ordinary sweep.
-    if (Out && (GoodSelf->test(Q) ||
-                BitMatrix::wordsAnyCommonInRange(T, GoodW, Lo, MaxDom,
-                                                 /*ExcludeBit=*/Q)))
-      Out->set(DT.nodeAtNum(Q));
-  }
+  NumberedUses Nums(DT, UsesBegin, UsesEnd);
+  Nums.attach(V);
+  return isLiveOutPrepared(V, Q, Sink);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1298,13 +1164,14 @@ void LiveCheck::answerPreparedRun(const PreparedVar &V,
 
   // Pass 1 — the Algorithm-1 line-4 verdict "does R_t reach a use?",
   // evaluated once per relevant target instead of once per (probe, target)
-  // pair. Same Good/GoodSelf structure as liveBlocksImpl, with one
-  // sharpening: a T_q row holds only back-edge targets plus q itself (see
-  // the propagation comment), so verdicts are needed only at the interval's
+  // pair. A T_q row holds only back-edge targets plus q itself (see the
+  // propagation comment), so verdicts are needed only at the interval's
   // back-edge targets — shared by every probe — and at the probed blocks
   // themselves for the self bit. The rest of the interval can never be
   // read through any T_q ∩ Good intersection. The existential form matches
-  // the scan kernels including the Theorem-2 fast path. Nums-backed
+  // the scan kernels including the Theorem-2 fast path: on reducible CFGs
+  // the most-dominating target's verdict agrees with the disjunction over
+  // all targets. Nums-backed
   // variables with few uses probe the use numbers directly instead of
   // sweeping a mask row.
   unsigned Lo = V.DefNum + 1;
@@ -1454,12 +1321,15 @@ size_t LiveCheck::memoryBytes() const {
   // Retained incremental-update state (Opts.Incremental engines only).
   Bytes += SnapNodeAtNum.capacity() * sizeof(unsigned);
   Bytes += SnapBackEdges.capacity() * sizeof(std::pair<unsigned, unsigned>);
+  Bytes += UpdTargetT.capacity() * sizeof(BitVector);
   for (const BitVector &B : UpdTargetT)
-    Bytes += B.memoryBytes() + sizeof(BitVector);
+    Bytes += B.memoryBytes();
+  Bytes += UpdAtSource.capacity() * sizeof(BitVector);
   for (const BitVector &B : UpdAtSource)
-    Bytes += B.memoryBytes() + sizeof(BitVector);
+    Bytes += B.memoryBytes();
+  Bytes += TargetContrib.capacity() * sizeof(std::vector<unsigned>);
   for (const auto &C : TargetContrib)
-    Bytes += C.capacity() * sizeof(unsigned) + sizeof(C);
+    Bytes += C.capacity() * sizeof(unsigned);
   Bytes += SelfInPropNode.memoryBytes();
   return Bytes;
 }

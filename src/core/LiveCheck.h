@@ -41,19 +41,19 @@
 /// `Opts.ReducibleFastPath` are consulted exactly once. Both stay
 /// switchable as the paper's own ablations (Section 5.1 item 2, Theorem 2).
 ///
-/// ## The renumbered query plane
+/// ## The query plane
 ///
-/// The engine's native coordinate system is the dominance preorder number.
-/// The classic entry points take block ids and used to re-translate every
-/// use through DT.num() once per *target* (O(targets x uses) array loads on
-/// the hottest loop); they now number the span once per query. Callers that
-/// can do that numbering themselves — FunctionLiveness, the batch driver,
-/// the benches — use the `*Nums` entry points with a sorted, deduplicated
-/// span of use numbers, or the `*Mask` entry points with a bitset of use
-/// numbers for high-use-count variables (the per-target test then collapses
-/// to a word-level `R_t ∩ UseMask != ∅` sweep). `liveInBlocks`/
-/// `liveOutBlocks` answer the query for *every* block of the dominance
-/// interval in one two-pass sweep over the arena.
+/// The engine's native coordinate system is the dominance preorder number,
+/// and every query runs on a PreparedVar: the def's dominance interval plus
+/// its use blocks translated to numbers (a span, or a use mask for
+/// high-use-count variables, where the per-target test collapses to a
+/// word-level `R_t ∩ UseMask != ∅` sweep). FunctionLiveness, the batch
+/// driver and the server prepare each variable once through
+/// core/PreparedCache and ask isLive*Prepared, or answerPreparedRun for a
+/// run of queries on one variable. The block-id isLiveIn/isLiveOut are
+/// thin wrappers kept as the block-id plane and the differential oracle:
+/// they number the use span once per query and forward to the prepared
+/// entry points.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,7 +122,7 @@ struct LiveCheckStats {
   std::uint64_t LiveInQueries = 0;
   std::uint64_t LiveOutQueries = 0;
   std::uint64_t TargetsVisited = 0; ///< Iterations of the while loop.
-  /// Individual R_t membership tests. A mask-entry query counts one test
+  /// Individual R_t membership tests. A mask-backed query counts one test
   /// per target (the whole intersection is a single word sweep).
   std::uint64_t UseTests = 0;
 
@@ -137,8 +137,8 @@ struct LiveCheckStats {
 
 /// The precomputed liveness-checking engine for one CFG.
 ///
-/// The engine speaks block ids only; variables enter a query as their def
-/// block plus the Definition-1 use blocks, so any def-use chain
+/// A variable enters a query as its def block plus the Definition-1 use
+/// blocks, translated once into a PreparedVar, so any def-use chain
 /// representation can sit on top (see FunctionLiveness).
 class LiveCheck {
 public:
@@ -164,9 +164,12 @@ public:
   const LiveCheckUpdateStats &updateStats() const { return UStats; }
 
   /// Algorithm 3: is the variable (def block \p DefBlock, use blocks
-  /// [\p UsesBegin, \p UsesEnd)) live-in at block \p Q? When \p Sink is
-  /// non-null, query counters accumulate into it; the default null costs
-  /// nothing and keeps the query path free of shared-state writes.
+  /// [\p UsesBegin, \p UsesEnd)) live-in at block \p Q? The block-id
+  /// plane: prepares the variable for this one query (the use span is
+  /// numbered only once the interval precondition holds) and forwards to
+  /// isLiveInPrepared. When \p Sink is non-null, query counters accumulate
+  /// into it; the default null costs nothing and keeps the query path free
+  /// of shared-state writes.
   bool isLiveIn(unsigned DefBlock, unsigned Q, const unsigned *UsesBegin,
                 const unsigned *UsesEnd,
                 LiveCheckStats *Sink = nullptr) const;
@@ -191,28 +194,8 @@ public:
                      Sink);
   }
 
-  /// \name Pre-numbered query plane.
-  /// The span [\p NumsBegin, \p NumsEnd) holds dominance-preorder numbers
-  /// (DT.num of the Definition-1 use blocks), in any order; duplicates are
-  /// allowed and merely cost a redundant probe, so callers sort/dedup only
-  /// when a span is reused often enough to pay for it. Numbering once per
-  /// query — or once per variable when the caller batches — replaces the
-  /// per-target re-translation the block-id entry points historically did.
+  /// \name Prepared-variable query plane.
   /// @{
-  bool isLiveInNums(unsigned DefBlock, unsigned Q, const unsigned *NumsBegin,
-                    const unsigned *NumsEnd,
-                    LiveCheckStats *Sink = nullptr) const;
-  bool isLiveOutNums(unsigned DefBlock, unsigned Q, const unsigned *NumsBegin,
-                     const unsigned *NumsEnd,
-                     LiveCheckStats *Sink = nullptr) const;
-  /// Mask variants: \p UseMask has numNodes() bits, bit n set iff some use
-  /// block has preorder number n. Meant for high-use-count variables,
-  /// where one word sweep beats per-use bit probes.
-  bool isLiveInMask(unsigned DefBlock, unsigned Q, const BitVector &UseMask,
-                    LiveCheckStats *Sink = nullptr) const;
-  bool isLiveOutMask(unsigned DefBlock, unsigned Q, const BitVector &UseMask,
-                     LiveCheckStats *Sink = nullptr) const;
-
   /// A variable fully translated into the engine's coordinate system, built
   /// once and reused across any number of queries: the def's dominance
   /// interval plus the numbered use span (and optionally a use mask, which
@@ -233,7 +216,11 @@ public:
   struct PreparedVar {
     unsigned DefNum = 0;            ///< DT.num(def block).
     unsigned MaxDom = 0;            ///< DT.maxnum(def block).
-    const unsigned *NumsBegin = nullptr; ///< Sorted, deduped use numbers.
+    /// Use numbers: DT.num of the Definition-1 use blocks, in any order.
+    /// Duplicates are allowed and merely cost a redundant probe, so callers
+    /// sort/dedup only when a span is reused often enough to pay for it
+    /// (the block-id wrappers rely on this for their small spans).
+    const unsigned *NumsBegin = nullptr;
     const unsigned *NumsEnd = nullptr;
     /// Optional use mask over numbers as a raw word span (engaged when
     /// non-null, taking precedence over the Nums span). A raw span rather
@@ -318,10 +305,9 @@ public:
   /// amortizes: one pass over the interval classifies every target t by
   /// `R_t ∩ uses != ∅` (the Algorithm-1 verdict, plus the self-excluded
   /// variant Algorithm 2 needs) into pooled Good/GoodSelf rows, then each
-  /// probe becomes one word-parallel `T_q ∩ Good != ∅` range sweep — the
-  /// same two-pass structure as liveInBlocks, but only over the blocks
-  /// actually asked about. Short runs fall back to the per-probe entry
-  /// points.
+  /// probe becomes one word-parallel `T_q ∩ Good != ∅` range sweep over
+  /// the blocks actually asked about. Short runs fall back to the
+  /// per-probe entry points.
   ///
   /// Stats contract: LiveInQueries/LiveOutQueries in \p Sink count exactly
   /// one per probe regardless of path; TargetsVisited/UseTests count the
@@ -330,45 +316,6 @@ public:
   void answerPreparedRun(const PreparedVar &V, const PreparedProbe *Probes,
                          std::size_t N, std::uint8_t *Answers,
                          LiveCheckStats *Sink = nullptr) const;
-  /// @}
-
-  /// \name Batch sweep.
-  /// Answers the query for every block at once: \p Out is resized to the
-  /// node count and bit b is set iff the variable (def block \p DefBlock,
-  /// Definition-1 use blocks \p Uses, block ids) is live-in (respectively
-  /// live-out) at block b. This is a two-pass word-level sweep of the
-  /// dominance interval — O(interval² / 64) instead of interval many
-  /// scans.
-  /// @{
-  void liveInBlocks(unsigned DefBlock, const unsigned *UsesBegin,
-                    const unsigned *UsesEnd, BitVector &Out) const {
-    liveBlocksImpl(DefBlock, UsesBegin, UsesEnd, &Out, nullptr);
-  }
-  void liveOutBlocks(unsigned DefBlock, const unsigned *UsesBegin,
-                     const unsigned *UsesEnd, BitVector &Out) const {
-    liveBlocksImpl(DefBlock, UsesBegin, UsesEnd, nullptr, &Out);
-  }
-  /// Both directions in one call: the expensive first pass (per-target
-  /// R ∩ uses verdicts) is shared, roughly halving the work of callers
-  /// that need live-in and live-out together.
-  void liveInOutBlocks(unsigned DefBlock, const unsigned *UsesBegin,
-                       const unsigned *UsesEnd, BitVector &In,
-                       BitVector &Out) const {
-    liveBlocksImpl(DefBlock, UsesBegin, UsesEnd, &In, &Out);
-  }
-  void liveInBlocks(unsigned DefBlock, const std::vector<unsigned> &Uses,
-                    BitVector &Out) const {
-    liveInBlocks(DefBlock, Uses.data(), Uses.data() + Uses.size(), Out);
-  }
-  void liveOutBlocks(unsigned DefBlock, const std::vector<unsigned> &Uses,
-                     BitVector &Out) const {
-    liveOutBlocks(DefBlock, Uses.data(), Uses.data() + Uses.size(), Out);
-  }
-  void liveInOutBlocks(unsigned DefBlock, const std::vector<unsigned> &Uses,
-                       BitVector &In, BitVector &Out) const {
-    liveInOutBlocks(DefBlock, Uses.data(), Uses.data() + Uses.size(), In,
-                    Out);
-  }
   /// @}
 
   /// \name Introspection for tests and benches.
@@ -476,11 +423,6 @@ private:
                        unsigned QNum, Uses U, bool ExcludeTrivialQ,
                        LiveCheckStats *Sink);
   template <bool Skip, bool FP>
-  static bool renumberingKernel(const LiveCheck &LC, unsigned DefNum,
-                                unsigned MaxDom, unsigned QNum,
-                                const unsigned *Begin, const unsigned *End,
-                                bool ExcludeTrivialQ, LiveCheckStats *Sink);
-  template <bool Skip, bool FP>
   static bool numSpanKernel(const LiveCheck &LC, unsigned DefNum,
                             unsigned MaxDom, unsigned QNum,
                             const unsigned *Begin, const unsigned *End,
@@ -491,11 +433,6 @@ private:
                          const std::uint64_t *MaskWords,
                          unsigned MaskNumWords, bool ExcludeTrivialQ,
                          LiveCheckStats *Sink);
-
-  /// Shared body of the batch sweeps; \p In / \p Out may each be null.
-  void liveBlocksImpl(unsigned DefBlock, const unsigned *UsesBegin,
-                      const unsigned *UsesEnd, BitVector *In,
-                      BitVector *Out) const;
 
   const CFG &G;
   const DFS &D;
@@ -544,9 +481,7 @@ private:
   /// @}
 
   /// Scan kernels bound once at construction — the per-query dispatch is
-  /// one indirect call, never an Opts branch. BlockScan takes block-id
-  /// spans, numbers the span once and forwards to NumScan's kernel.
-  SpanScanFn BlockScan = nullptr;
+  /// one indirect call, never an Opts branch.
   SpanScanFn NumScan = nullptr;
   MaskScanFn MaskScan = nullptr;
 };

@@ -132,7 +132,7 @@ private:
 };
 
 /// A liveness backend answering through per-query-prepared PreparedVar
-/// entries (or the mask entries when \p UseMask is set): the variable is
+/// entries (backed by a use mask when \p UseMask is set): the variable is
 /// re-prepared on every query, never cached. Kept purely as a differential
 /// oracle for the production cached plane — FunctionLiveness now *is* the
 /// prepared path (via core/PreparedCache), and the ssa matrices compare
@@ -147,15 +147,11 @@ public:
 
   bool isLiveIn(const Value &V, const BasicBlock &B) override {
     prepare(V);
-    if (UseMask)
-      return Engine.isLiveInMask(defBlockId(V), B.id(), Mask);
     return Engine.isLiveInPrepared(Prep, B.id());
   }
 
   bool isLiveOut(const Value &V, const BasicBlock &B) override {
     prepare(V);
-    if (UseMask)
-      return Engine.isLiveOutMask(defBlockId(V), B.id(), Mask);
     return Engine.isLiveOutPrepared(Prep, B.id());
   }
 
@@ -178,7 +174,8 @@ private:
     Engine.prepareDef(defBlockId(V), Prep);
     Prep.NumsBegin = Nums.data();
     Prep.NumsEnd = Nums.data() + Nums.size();
-    Prep.clearMask();
+    if (UseMask)
+      Prep.setMask(Mask);
   }
 
   CFG Graph;

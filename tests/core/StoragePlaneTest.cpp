@@ -6,10 +6,11 @@
 //
 // The query-plane contract of LiveCheck: the arena engine under both T
 // modes and the subtree-skip / fast-path ablations must answer every query
-// identically through every entry point — classic block-id spans,
-// pre-numbered spans, use masks, prepared variables, and the
-// liveInBlocks/liveOutBlocks batch sweeps — and all of them must match the
-// brute-force oracle on random reducible and irreducible CFGs.
+// identically through every entry point — the block-id wrappers, prepared
+// variables backed by a use span (sorted or raw: any order, duplicates
+// allowed) or a use mask, and whole-graph answerPreparedRun calls — and
+// all of them must match the brute-force oracle on random reducible and
+// irreducible CFGs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 using namespace ssalive;
@@ -44,7 +46,7 @@ std::vector<SyntheticVar> placeVariables(const CFG &G, const DomTree &DT,
     V.Def = Rng.nextBelow(N);
     unsigned Lo = DT.num(V.Def), Hi = DT.maxnum(V.Def);
     // Mix small and large use sets so both the span and the mask paths of
-    // the renumbered plane get exercised (the mask threshold in
+    // the prepared plane get exercised (the mask threshold in
     // FunctionLiveness is ~max(8, N/64)).
     unsigned NumUses = 1 + Rng.nextBelow(I % 3 == 0 ? 12 : 3);
     for (unsigned U = 0; U != NumUses; ++U)
@@ -89,79 +91,83 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
       Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, EOpts));
 
     auto Vars = placeVariables(G, DT, Rng, 10);
-    BitVector InSweep, OutSweep, Mask(N);
+    // One probe per block and direction: a whole-graph run, which takes
+    // answerPreparedRun's interval sweep once the graph has 4+ blocks.
+    std::vector<LiveCheck::PreparedProbe> Probes;
+    for (unsigned Q = 0; Q != N; ++Q) {
+      Probes.push_back({Q, /*IsLiveOut=*/false});
+      Probes.push_back({Q, /*IsLiveOut=*/true});
+    }
+    std::vector<std::uint8_t> Answers(Probes.size());
+    BitVector Mask(N);
     for (const SyntheticVar &V : Vars) {
-      // The renumbered-plane inputs. RawNums keeps the translation order
+      // The prepared-plane inputs. RawNums keeps the translation order
       // (with duplicates) — the span contract allows any order — while
       // Nums is the sorted/deduped form a batching caller would prepare.
       std::vector<unsigned> RawNums = V.Uses;
       for (unsigned &U : RawNums)
         U = DT.num(U);
+      RawNums.push_back(RawNums.front()); // At least one duplicate.
       std::vector<unsigned> Nums = RawNums;
       std::sort(Nums.begin(), Nums.end());
       Nums.erase(std::unique(Nums.begin(), Nums.end()), Nums.end());
       Mask.reset();
       for (unsigned U : Nums)
         Mask.set(U);
+      std::vector<bool> WantIn(N), WantOut(N);
+      for (unsigned Q = 0; Q != N; ++Q) {
+        WantIn[Q] = LivenessOracle::liveInSearch(G, V.Def, V.Uses, Q);
+        WantOut[Q] = LivenessOracle::liveOutSearch(G, V.Def, V.Uses, Q);
+      }
 
       for (const auto &E : Engines) {
         LiveCheck::PreparedVar PVSpan;
         E->prepareDef(V.Def, PVSpan);
         PVSpan.NumsBegin = Nums.data();
         PVSpan.NumsEnd = Nums.data() + Nums.size();
+        LiveCheck::PreparedVar PVRaw = PVSpan;
+        PVRaw.NumsBegin = RawNums.data();
+        PVRaw.NumsEnd = RawNums.data() + RawNums.size();
         LiveCheck::PreparedVar PVMask = PVSpan;
         PVMask.setMask(Mask);
 
-        E->liveInBlocks(V.Def, V.Uses, InSweep);
-        E->liveOutBlocks(V.Def, V.Uses, OutSweep);
-        BitVector InBoth, OutBoth;
-        E->liveInOutBlocks(V.Def, V.Uses, InBoth, OutBoth);
-        EXPECT_EQ(InBoth, InSweep) << "combined sweep (in) diverges";
-        EXPECT_EQ(OutBoth, OutSweep) << "combined sweep (out) diverges";
-
+        auto Ctx = [&](unsigned Q, const char *Entry) {
+          return ::testing::Message()
+                 << C.Name << " seed " << Seed << " def " << V.Def << " q "
+                 << Q << " entry " << Entry << " mode "
+                 << static_cast<int>(E->options().Mode) << " skip "
+                 << E->options().SubtreeSkip << " fast "
+                 << E->options().ReducibleFastPath;
+        };
         for (unsigned Q = 0; Q != N; ++Q) {
-          bool WantIn = LivenessOracle::liveInSearch(G, V.Def, V.Uses, Q);
-          bool WantOut = LivenessOracle::liveOutSearch(G, V.Def, V.Uses, Q);
-          auto Ctx = [&](const char *Entry) {
-            return ::testing::Message()
-                   << C.Name << " seed " << Seed << " def " << V.Def
-                   << " q " << Q << " entry " << Entry << " mode "
-                   << static_cast<int>(E->options().Mode) << " skip "
-                   << E->options().SubtreeSkip << " fast "
-                   << E->options().ReducibleFastPath;
-          };
-          EXPECT_EQ(E->isLiveIn(V.Def, Q, V.Uses), WantIn) << Ctx("blocks");
-          EXPECT_EQ(E->isLiveOut(V.Def, Q, V.Uses), WantOut)
-              << Ctx("blocks");
-          EXPECT_EQ(E->isLiveInNums(V.Def, Q, Nums.data(),
-                                    Nums.data() + Nums.size()),
-                    WantIn)
-              << Ctx("nums");
-          EXPECT_EQ(E->isLiveOutNums(V.Def, Q, Nums.data(),
-                                     Nums.data() + Nums.size()),
-                    WantOut)
-              << Ctx("nums");
-          EXPECT_EQ(E->isLiveInNums(V.Def, Q, RawNums.data(),
-                                    RawNums.data() + RawNums.size()),
-                    WantIn)
-              << Ctx("raw-nums");
-          EXPECT_EQ(E->isLiveOutNums(V.Def, Q, RawNums.data(),
-                                     RawNums.data() + RawNums.size()),
-                    WantOut)
-              << Ctx("raw-nums");
-          EXPECT_EQ(E->isLiveInMask(V.Def, Q, Mask), WantIn) << Ctx("mask");
-          EXPECT_EQ(E->isLiveOutMask(V.Def, Q, Mask), WantOut)
-              << Ctx("mask");
-          EXPECT_EQ(E->isLiveInPrepared(PVSpan, Q), WantIn)
-              << Ctx("prepared-span");
-          EXPECT_EQ(E->isLiveOutPrepared(PVSpan, Q), WantOut)
-              << Ctx("prepared-span");
-          EXPECT_EQ(E->isLiveInPrepared(PVMask, Q), WantIn)
-              << Ctx("prepared-mask");
-          EXPECT_EQ(E->isLiveOutPrepared(PVMask, Q), WantOut)
-              << Ctx("prepared-mask");
-          EXPECT_EQ(InSweep.test(Q), WantIn) << Ctx("liveInBlocks");
-          EXPECT_EQ(OutSweep.test(Q), WantOut) << Ctx("liveOutBlocks");
+          EXPECT_EQ(E->isLiveIn(V.Def, Q, V.Uses), WantIn[Q])
+              << Ctx(Q, "blocks");
+          EXPECT_EQ(E->isLiveOut(V.Def, Q, V.Uses), WantOut[Q])
+              << Ctx(Q, "blocks");
+          EXPECT_EQ(E->isLiveInPrepared(PVSpan, Q), WantIn[Q])
+              << Ctx(Q, "prepared-span");
+          EXPECT_EQ(E->isLiveOutPrepared(PVSpan, Q), WantOut[Q])
+              << Ctx(Q, "prepared-span");
+          EXPECT_EQ(E->isLiveInPrepared(PVRaw, Q), WantIn[Q])
+              << Ctx(Q, "prepared-raw-span");
+          EXPECT_EQ(E->isLiveOutPrepared(PVRaw, Q), WantOut[Q])
+              << Ctx(Q, "prepared-raw-span");
+          EXPECT_EQ(E->isLiveInPrepared(PVMask, Q), WantIn[Q])
+              << Ctx(Q, "prepared-mask");
+          EXPECT_EQ(E->isLiveOutPrepared(PVMask, Q), WantOut[Q])
+              << Ctx(Q, "prepared-mask");
+        }
+        for (auto [PV, Entry] :
+             {std::pair{&PVSpan, "run-span"}, std::pair{&PVRaw, "run-raw-span"},
+              std::pair{&PVMask, "run-mask"}}) {
+          E->answerPreparedRun(*PV, Probes.data(), Probes.size(),
+                               Answers.data());
+          for (std::size_t I = 0; I != Probes.size(); ++I) {
+            unsigned Q = Probes[I].Block;
+            bool Want = Probes[I].IsLiveOut ? WantOut[Q] : WantIn[Q];
+            EXPECT_EQ(Answers[I] != 0, Want)
+                << Ctx(Q, Entry) << (Probes[I].IsLiveOut ? " out" : " in");
+          }
         }
       }
     }
@@ -170,9 +176,10 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
 
 TEST(StoragePlane, MemoryAccountingIsArenaPlusSideTables) {
   // A non-incremental engine holds the two packed N x N matrices and the
-  // O(N) side tables, nothing else: memoryBytes() must equal that analytic
-  // size exactly. The incremental engine additionally retains its update
-  // snapshot, which the accounting must show.
+  // O(N) side tables, nothing else — the update-only state its compute
+  // pass used is released, outer buffers included: memoryBytes() must
+  // equal that analytic size exactly. The incremental engine additionally
+  // retains its update snapshot, which the accounting must show.
   RandomEngine Rng(99);
   CFGGenOptions Opts;
   Opts.TargetBlocks = 200;
@@ -183,7 +190,7 @@ TEST(StoragePlane, MemoryAccountingIsArenaPlusSideTables) {
   std::size_t RowWords = (N + 63) / 64;
   std::size_t Analytic = 2 * std::size_t(N) * RowWords * 8 +
                          std::size_t(N) * (sizeof(unsigned) + 1) +
-                         RowWords * 8 + 2 * sizeof(BitMatrix);
+                         2 * sizeof(BitMatrix);
   LiveCheck Plain(G, D, DT);
   EXPECT_EQ(Plain.memoryBytes(), Analytic);
   LiveCheckOptions IncOpts;

@@ -13,9 +13,10 @@
 // numbering, cross-checked against Lengauer-Tarjan as a second opinion),
 // identical R/T set contents, and identical liveness answers under both T
 // modes, for the in-place row repatch and the full-recompute fallback
-// alike, through every query entry point (block-id spans, pre-numbered
-// spans, use masks, PreparedVar, and the whole-interval block sweeps). On a mismatch the failing sequence is reported as a
-// replayable (seed, mode, step) triple.
+// alike, through every query entry point (block-id spans, PreparedVar
+// over a use span or a use mask, and whole-graph answerPreparedRun
+// calls). On a mismatch the failing sequence is reported as a replayable
+// (seed, mode, step) triple.
 //
 //===----------------------------------------------------------------------===//
 
@@ -121,19 +122,17 @@ bool compareEngines(const LiveCheck &Inc, const DomTree &IncDT,
                   << Fresh.numNodes();
     return false;
   }
-  BitVector IncIn, IncOut, FreshIn, FreshOut;
+  // One probe per block and direction: whole-graph coverage through the
+  // interval sweep of answerPreparedRun, at word speed.
+  std::vector<LiveCheck::PreparedProbe> Probes;
+  for (unsigned Q = 0; Q != N; ++Q) {
+    Probes.push_back({Q, /*IsLiveOut=*/false});
+    Probes.push_back({Q, /*IsLiveOut=*/true});
+  }
+  std::vector<std::uint8_t> IncAns(Probes.size()), FreshAns(Probes.size());
   std::vector<unsigned> IncNums, FreshNums;
   BitVector IncMask(N), FreshMask(N);
   for (const VarSample &V : Vars) {
-    // Whole-graph coverage through the batch sweeps (one comparison per
-    // block and direction, at word speed).
-    Inc.liveInOutBlocks(V.Def, V.Uses, IncIn, IncOut);
-    Fresh.liveInOutBlocks(V.Def, V.Uses, FreshIn, FreshOut);
-    if (IncIn != FreshIn || IncOut != FreshOut) {
-      ADD_FAILURE() << Tag << ": block-sweep mismatch, def=" << V.Def;
-      return false;
-    }
-    // Per-entry-point checks on sampled query blocks.
     IncNums.clear();
     FreshNums.clear();
     IncMask.reset();
@@ -151,39 +150,42 @@ bool compareEngines(const LiveCheck &Inc, const DomTree &IncDT,
     IncPrep.NumsEnd = IncNums.data() + IncNums.size();
     FreshPrep.NumsBegin = FreshNums.data();
     FreshPrep.NumsEnd = FreshNums.data() + FreshNums.size();
+    LiveCheck::PreparedVar IncPrepMask = IncPrep, FreshPrepMask = FreshPrep;
+    IncPrepMask.setMask(IncMask);
+    FreshPrepMask.setMask(FreshMask);
 
+    Inc.answerPreparedRun(IncPrep, Probes.data(), Probes.size(),
+                          IncAns.data());
+    Fresh.answerPreparedRun(FreshPrep, Probes.data(), Probes.size(),
+                            FreshAns.data());
+    if (IncAns != FreshAns) {
+      ADD_FAILURE() << Tag << ": whole-graph run mismatch, def=" << V.Def;
+      return false;
+    }
+
+    // Per-entry-point checks on sampled query blocks.
     for (unsigned Probe = 0; Probe != 12; ++Probe) {
       unsigned Q = Rng.nextBelow(N);
-      bool In[5] = {Inc.isLiveIn(V.Def, Q, V.Uses),
-                    Inc.isLiveInNums(V.Def, Q, IncNums.data(),
-                                     IncNums.data() + IncNums.size()),
-                    Inc.isLiveInMask(V.Def, Q, IncMask),
+      bool In[4] = {Inc.isLiveIn(V.Def, Q, V.Uses),
+                    Inc.isLiveInPrepared(IncPrepMask, Q),
                     Inc.isLiveInPrepared(IncPrep, Q),
                     Fresh.isLiveIn(V.Def, Q, V.Uses)};
-      bool FreshIn2[3] = {
-          Fresh.isLiveInNums(V.Def, Q, FreshNums.data(),
-                             FreshNums.data() + FreshNums.size()),
-          Fresh.isLiveInMask(V.Def, Q, FreshMask),
-          Fresh.isLiveInPrepared(FreshPrep, Q)};
-      bool Out[5] = {Inc.isLiveOut(V.Def, Q, V.Uses),
-                     Inc.isLiveOutNums(V.Def, Q, IncNums.data(),
-                                       IncNums.data() + IncNums.size()),
-                     Inc.isLiveOutMask(V.Def, Q, IncMask),
+      bool FreshIn2[2] = {Fresh.isLiveInPrepared(FreshPrepMask, Q),
+                          Fresh.isLiveInPrepared(FreshPrep, Q)};
+      bool Out[4] = {Inc.isLiveOut(V.Def, Q, V.Uses),
+                     Inc.isLiveOutPrepared(IncPrepMask, Q),
                      Inc.isLiveOutPrepared(IncPrep, Q),
                      Fresh.isLiveOut(V.Def, Q, V.Uses)};
-      bool FreshOut2[3] = {
-          Fresh.isLiveOutNums(V.Def, Q, FreshNums.data(),
-                              FreshNums.data() + FreshNums.size()),
-          Fresh.isLiveOutMask(V.Def, Q, FreshMask),
-          Fresh.isLiveOutPrepared(FreshPrep, Q)};
-      for (int I = 0; I != 5; ++I)
-        if (In[I] != In[4] || Out[I] != Out[4]) {
+      bool FreshOut2[2] = {Fresh.isLiveOutPrepared(FreshPrepMask, Q),
+                           Fresh.isLiveOutPrepared(FreshPrep, Q)};
+      for (int I = 0; I != 4; ++I)
+        if (In[I] != In[3] || Out[I] != Out[3]) {
           ADD_FAILURE() << Tag << ": live-in/out entry-point mismatch at "
                         << "def=" << V.Def << " q=" << Q << " entry#" << I;
           return false;
         }
-      for (int I = 0; I != 3; ++I)
-        if (FreshIn2[I] != In[4] || FreshOut2[I] != Out[4]) {
+      for (int I = 0; I != 2; ++I)
+        if (FreshIn2[I] != In[3] || FreshOut2[I] != Out[3]) {
           ADD_FAILURE() << Tag << ": fresh-engine entry-point disagreement "
                         << "at def=" << V.Def << " q=" << Q;
           return false;

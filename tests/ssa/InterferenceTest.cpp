@@ -176,7 +176,7 @@ x:
 }
 
 TEST(Interference, PreparedAndMaskEntriesMatchBlockIdEntries) {
-  // The renumbered query plane (PreparedVar spans and use masks) must
+  // The prepared query plane (PreparedVar spans and use masks) must
   // answer every interference-relevant query exactly like the block-id
   // entries the SSA layer historically used — per raw engine query and
   // per interfere() verdict. FunctionLiveness is now the *cached* prepared
@@ -211,20 +211,18 @@ TEST(Interference, PreparedAndMaskEntriesMatchBlockIdEntries) {
       E.prepareDef(Def, P);
       P.NumsBegin = Nums.data();
       P.NumsEnd = Nums.data() + Nums.size();
+      LiveCheck::PreparedVar PMask = P;
+      PMask.setMask(Mask);
       for (unsigned Q = 0; Q != G.numNodes(); ++Q) {
         bool In = E.isLiveIn(Def, Q, Uses);
-        ASSERT_EQ(In, E.isLiveInNums(Def, Q, P.NumsBegin, P.NumsEnd))
-            << "seed " << Seed << " %" << V->name() << " q=" << Q;
-        ASSERT_EQ(In, E.isLiveInMask(Def, Q, Mask))
-            << "seed " << Seed << " %" << V->name() << " q=" << Q;
         ASSERT_EQ(In, E.isLiveInPrepared(P, Q))
             << "seed " << Seed << " %" << V->name() << " q=" << Q;
+        ASSERT_EQ(In, E.isLiveInPrepared(PMask, Q))
+            << "seed " << Seed << " %" << V->name() << " q=" << Q;
         bool Out = E.isLiveOut(Def, Q, Uses);
-        ASSERT_EQ(Out, E.isLiveOutNums(Def, Q, P.NumsBegin, P.NumsEnd))
-            << "seed " << Seed << " %" << V->name() << " q=" << Q;
-        ASSERT_EQ(Out, E.isLiveOutMask(Def, Q, Mask))
-            << "seed " << Seed << " %" << V->name() << " q=" << Q;
         ASSERT_EQ(Out, E.isLiveOutPrepared(P, Q))
+            << "seed " << Seed << " %" << V->name() << " q=" << Q;
+        ASSERT_EQ(Out, E.isLiveOutPrepared(PMask, Q))
             << "seed " << Seed << " %" << V->name() << " q=" << Q;
       }
     }
