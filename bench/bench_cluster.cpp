@@ -1,24 +1,27 @@
-//===- bench/bench_cluster.cpp - Shard-router aggregate throughput --------===//
+//===- bench/bench_cluster.cpp - Shared-pool aggregate throughput --------===//
 //
 // Part of the ssalive project, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the shard router end to end: M concurrent clients against one
-// in-process LivenessServer, first with a single SessionManager shard,
-// then with two — same clients, same corpus, same warm prepared-plane
-// 4096-batch workload. Each shard owns its own session table and pool, so
-// the aggregate warm q/s across shard counts is the scaling story of the
-// router: on a multi-core host the two-shard run should clear ~1.15x the
-// single-shard aggregate; on the 1-core CI container the pools time-slice
-// one core and the honest expectation is ~1.0x (the bench prints the
-// caveat and records whatever the machine produced).
+// Measures how the server's one query pool scales under concurrent
+// clients: M clients against one in-process LivenessServer (one
+// SessionManager, one ThreadPool), first with a 1-worker pool, then with
+// 2 workers — same clients, same corpus, same warm prepared-plane
+// 4096-batch workload. Every session's batches fan out on the shared
+// pool, so the aggregate warm q/s across worker counts is the scaling
+// story of the pool; on a 1-core host the workers time-slice one core and
+// the honest expectation is ~1.0x (the bench prints the caveat and
+// records whatever the machine produced). At --smoke size (6 small
+// functions) one worker is not the bottleneck either: a 4-core Xeon
+// measured 0.85-1.18x there, against 1.43-2.07x for the full 12-function
+// run.
 //
 //   bench_cluster [--smoke] [--clients=M]
 //
-// Emits BENCH_cluster.json. The gated ratio is speedup_shards2_vs_1
+// Emits BENCH_cluster.json. The gated ratio is speedup_threads2_vs_1
 // (threshold 0.50 in CI: a trend gate against collapse, not a multi-core
-// assertion the container cannot honor).
+// assertion a 1-core runner cannot honor).
 //
 //===----------------------------------------------------------------------===//
 
@@ -82,20 +85,14 @@ private:
   unsigned Generation = 0;
 };
 
-struct RunResult {
-  double AggregateQps = 0;
-  unsigned ShardsUsed = 0;
-};
-
-/// One full measurement: M clients x `Shards` shards, returns the best
-/// aggregate warm q/s over `Rounds` barrier-synchronized timed rounds.
-RunResult runCluster(unsigned Shards, unsigned Clients,
-                     const std::string &Text,
-                     const std::vector<BatchQuery> &Workload,
-                     unsigned Rounds, unsigned Passes) {
+/// One full measurement: M clients on one server whose pool has
+/// `Threads` workers; returns the best aggregate warm q/s over `Rounds`
+/// barrier-synchronized timed rounds.
+double runCluster(unsigned Threads, unsigned Clients, const std::string &Text,
+                  const std::vector<BatchQuery> &Workload, unsigned Rounds,
+                  unsigned Passes) {
   server::ServerConfig Cfg;
-  Cfg.Threads = 1; // Scaling must come from the shard dimension alone.
-  Cfg.Shards = Shards;
+  Cfg.Threads = Threads;
   server::LivenessServer Server(Cfg);
 
   std::vector<int> ClientFds;
@@ -172,18 +169,11 @@ RunResult runCluster(unsigned Shards, unsigned Clients,
   for (std::thread &T : Drivers)
     T.join();
 
-  RunResult Result;
-  Result.AggregateQps = double(Workload.size()) * Clients * Passes /
-                        (BestMillis / 1e3);
-  for (unsigned I = 0; I != Server.router().numShards(); ++I)
-    if (Server.router().shard(I).sessionsCreated() != 0)
-      ++Result.ShardsUsed;
-
   for (int Fd : ClientFds)
     ::close(Fd);
   for (std::thread &T : Handlers)
     T.join();
-  return Result;
+  return double(Workload.size()) * Clients * Passes / (BestMillis / 1e3);
 }
 
 } // namespace
@@ -223,46 +213,43 @@ int main(int Argc, char **Argv) {
 
   const unsigned Cores = std::thread::hardware_concurrency();
   std::printf("bench_cluster: %u functions, %zu warm queries/pass, "
-              "%u clients, 1 pool thread per shard, %u core(s)\n",
+              "%u clients, one shared pool, %u core(s)\n",
               NumFuncs, Workload.size(), Clients, Cores);
 
-  TablePrinter Table({"shards", "clients", "shards used", "queries/s"});
+  TablePrinter Table({"pool threads", "clients", "queries/s"});
   std::vector<JsonRecord> Records;
   double Qps1 = 0, Qps2 = 0;
-  for (unsigned Shards : {1u, 2u}) {
-    RunResult R = runCluster(Shards, Clients, Text, Workload, Rounds,
-                             Passes);
-    if (Shards == 1)
-      Qps1 = R.AggregateQps;
+  for (unsigned Threads : {1u, 2u}) {
+    double Qps = runCluster(Threads, Clients, Text, Workload, Rounds, Passes);
+    if (Threads == 1)
+      Qps1 = Qps;
     else
-      Qps2 = R.AggregateQps;
-    Table.addRow({std::to_string(Shards), std::to_string(Clients),
-                  std::to_string(R.ShardsUsed),
-                  TablePrinter::fmt(R.AggregateQps, 0)});
+      Qps2 = Qps;
+    Table.addRow({std::to_string(Threads), std::to_string(Clients),
+                  TablePrinter::fmt(Qps, 0)});
     JsonRecord J;
-    J.num("shards", std::uint64_t(Shards));
+    J.num("threads", std::uint64_t(Threads));
     J.num("clients", std::uint64_t(Clients));
-    J.num("shards_used", std::uint64_t(R.ShardsUsed));
-    J.num("queries_per_second", R.AggregateQps);
+    J.num("queries_per_second", Qps);
     Records.push_back(std::move(J));
   }
 
   {
     JsonRecord J;
-    J.str("metric", "sharding");
+    J.str("metric", "pool_scaling");
     J.num("warm_cluster_queries_per_second", Qps2);
-    J.num("speedup_shards2_vs_1", Qps1 > 0 ? Qps2 / Qps1 : 0);
+    J.num("speedup_threads2_vs_1", Qps1 > 0 ? Qps2 / Qps1 : 0);
     Records.push_back(std::move(J));
   }
 
   Table.print();
-  std::printf("warm aggregate throughput: 1 shard %.0f q/s, 2 shards %.0f "
-              "q/s (%.2fx)\n",
+  std::printf("warm aggregate throughput: 1 pool thread %.0f q/s, 2 pool "
+              "threads %.0f q/s (%.2fx)\n",
               Qps1, Qps2, Qps1 > 0 ? Qps2 / Qps1 : 0);
   if (Cores < 2)
-    std::printf("note: %u-core host — shard pools time-slice one core, so "
-                "~1.0x is the honest expectation here; the >= 1.15x "
-                "scaling target needs a multi-core machine\n",
+    std::printf("note: %u-core host — pool workers time-slice one core, so "
+                "~1.0x is the honest expectation here; pool scaling needs "
+                "a multi-core machine\n",
                 Cores ? Cores : 1);
 
   std::string Path = writeBenchJson("cluster", Records);

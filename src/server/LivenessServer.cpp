@@ -35,13 +35,15 @@ namespace {
 /// Wire-level telemetry: byte counters for both directions, one latency
 /// histogram per frame (and a second one for query frames specifically —
 /// the latency distribution the amortization profile is about), the
-/// transport's connection count, and the overload-shedding tallies.
+/// transport's connection count, and the overload-shedding tallies (one
+/// per shedding gate: frames, connections, and session admission).
 struct WireTelemetry {
   telemetry::Counter RxBytes{"ssalive_server_rx_bytes_total"};
   telemetry::Counter TxBytes{"ssalive_server_tx_bytes_total"};
   telemetry::Counter Connections{"ssalive_server_connections_total"};
   telemetry::Counter ShedFrames{"ssalive_server_shed_frames_total"};
   telemetry::Counter ShedConnections{"ssalive_server_shed_connections_total"};
+  telemetry::Counter ShedSessions{"ssalive_server_shed_sessions_total"};
   telemetry::Histogram FrameNs{"ssalive_server_frame_ns"};
   telemetry::Histogram QueryFrameNs{"ssalive_server_query_frame_ns"};
 
@@ -51,9 +53,17 @@ struct WireTelemetry {
   }
 };
 
+/// The reply to a frame that would open a new session past
+/// ServerConfig::MaxSessions (SessionManager refused the session).
+std::vector<std::uint8_t> shedSessionReply() {
+  WireTelemetry::get().ShedSessions.inc();
+  return detail::countedErrorReply(ErrorCode::Overloaded,
+                                   "session cap reached; retry later");
+}
+
 } // namespace
 
-LivenessServer::LivenessServer(ServerConfig Cfg) : Cfg(Cfg), Router(Cfg) {
+LivenessServer::LivenessServer(ServerConfig Cfg) : Cfg(Cfg), Manager(Cfg) {
   ignoreSigpipe();
 }
 
@@ -78,9 +88,8 @@ void LivenessServer::serveStream(int InFd, int OutFd) {
   std::unique_ptr<Session> S;
   serveFrames(InFd, OutFd, S);
   // No-op unless the session is resumable and did not request shutdown:
-  // the journal outlives the connection (parked on its shard), not the
-  // server.
-  Router.parkSession(std::move(S));
+  // the journal outlives the connection, not the server.
+  Manager.parkSession(std::move(S));
 }
 
 void LivenessServer::serveFrames(int InFd, int OutFd,
@@ -132,20 +141,17 @@ void LivenessServer::serveFrames(int InFd, int OutFd,
     }
 
     if (!S) {
-      // Router-level admission control: past the aggregate session cap,
-      // frames that would open a NEW session are shed (existing sessions
-      // keep being served — shedding admissions, not service).
-      if (Router.overloaded()) {
-        Router.noteShed();
-        std::vector<std::uint8_t> Reply = detail::countedErrorReply(
-            ErrorCode::Overloaded,
-            "session cap reached across shards; retry later");
+      // Admission control: past MaxSessions, a frame that would open a
+      // NEW session is shed (existing sessions keep being served —
+      // shedding admissions, not service).
+      S = Manager.createSession();
+      if (!S) {
+        std::vector<std::uint8_t> Reply = shedSessionReply();
         T.TxBytes.inc(4 + Reply.size());
         if (!writeFrame(OutFd, Reply, Cfg.MaxFrameBytes))
           return;
         continue;
       }
-      S = Router.createSession();
     }
     // Frame latency covers dispatch through reply encode — the request's
     // resident cost — not the peer-dependent socket I/O around it.
@@ -188,16 +194,12 @@ bool LivenessServer::handleResume(int OutFd,
     if (Hwm != 0)
       return Send(detail::countedErrorReply(
           ErrorCode::BadResume, "high-water mark without a session id"));
-    if (Router.overloaded()) {
-      Router.noteShed();
-      return Send(detail::countedErrorReply(
-          ErrorCode::Overloaded,
-          "session cap reached across shards; retry later"));
-    }
-    S = Router.createResumableSession();
+    S = Manager.createResumableSession();
+    if (!S)
+      return Send(shedSessionReply());
     return Send(encodeResumed(S->sessionId(), 0, 0));
   }
-  SessionManager::ResumeResult RR = Router.resumeSession(Sid, Hwm);
+  SessionManager::ResumeResult RR = Manager.resumeSession(Sid, Hwm);
   if (!Send(RR.Reply))
     return false;
   for (const std::vector<std::uint8_t> &P : RR.PendingReplies)

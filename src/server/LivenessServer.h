@@ -10,11 +10,10 @@
 /// handler thread and one Session per connection) or serves a single
 /// session over an arbitrary duplex fd pair — the pipe transport the
 /// --stdio mode and the in-process test/bench harnesses use. Every
-/// connection routes through the ShardRouter: with --shards=N each
-/// session is consistent-hashed onto one of N SessionManager shards, each
-/// with its own query ThreadPool; per-worker answer spans keep the hot
-/// path lock-free and replies byte-identical regardless of client
-/// interleaving or shard placement.
+/// connection's session comes from the server's one SessionManager, and
+/// every session fans its query batches out on that manager's one
+/// ThreadPool; per-worker answer spans keep the hot path lock-free and
+/// replies byte-identical regardless of client interleaving.
 ///
 /// A connection whose first frame is a Resume handshake either opens a
 /// journaling (resumable) session or re-attaches to a parked one: the
@@ -23,8 +22,10 @@
 /// high-water mark — reply purity makes the rebuilt connection
 /// indistinguishable from one that never dropped. Overload is shed, not
 /// queued: past the connection cap, accepted sockets get one well-formed
-/// Error(Overloaded) and a close; past the per-connection in-flight
-/// budget, frames are answered Error(Overloaded) without dispatch.
+/// Error(Overloaded) and a close; past the session cap, a frame that would
+/// open a new session is answered Error(Overloaded); past the
+/// per-connection in-flight budget, frames are answered Error(Overloaded)
+/// without dispatch.
 ///
 /// This is the amortization story of the paper pushed to its natural
 /// habitat: one resident precomputation per loaded function, repaired in
@@ -37,7 +38,6 @@
 #define SSALIVE_SERVER_LIVENESSSERVER_H
 
 #include "server/SessionManager.h"
-#include "server/ShardRouter.h"
 
 #include <atomic>
 #include <memory>
@@ -58,15 +58,11 @@ public:
   LivenessServer(const LivenessServer &) = delete;
   LivenessServer &operator=(const LivenessServer &) = delete;
 
-  /// The shard router every connection routes through. With the default
-  /// --shards=1 there is exactly one shard behind it (the classic server),
-  /// but the router layer — and its ssalive_router_* series — exist either
-  /// way.
-  ShardRouter &router() { return Router; }
-
-  /// Shard 0's manager — the whole server when Shards == 1. Kept for the
-  /// single-shard tools and tests that predate the router.
-  SessionManager &sessions() { return Router.shard(0); }
+  /// The one session manager behind every connection; it owns the query
+  /// pool. The accessor keeps its older name because ssalive-bench
+  /// (ssalive-bench/main.cpp) opens sessions through
+  /// Server.router().createSession().
+  SessionManager &router() { return Manager; }
 
   /// \name Pipe transport.
   /// Serves exactly one session over an already-open duplex pair, blocking
@@ -155,7 +151,7 @@ private:
   void reapFinishedHandlers();
 
   ServerConfig Cfg;
-  ShardRouter Router;
+  SessionManager Manager;
 
   int ListenFd = -1;
   int TcpListenFd = -1;

@@ -44,6 +44,12 @@
 /// configured caps; the `ssalive_server_resume_*` telemetry series report
 /// attempts, replays, evictions, and the parked footprint.
 ///
+/// A LivenessServer owns exactly one SessionManager, and the manager owns
+/// the one query pool every session fans out on — that shared pool is what
+/// the paper's amortization buys a multi-client server. The manager is
+/// also the admission point: ServerConfig::MaxSessions is enforced in the
+/// same atomic step that reserves a session slot.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SSALIVE_SERVER_SESSIONMANAGER_H
@@ -51,7 +57,6 @@
 
 #include "pipeline/BatchLivenessDriver.h"
 #include "server/Protocol.h"
-#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
@@ -67,9 +72,9 @@ class Function;
 
 namespace server {
 
-/// Server-wide knobs, shared by every session.
+/// Server-wide knobs: one SessionManager applies them to every session.
 struct ServerConfig {
-  /// Workers in the shared query pool; 0 = hardware concurrency.
+  /// Workers in the manager's one query pool; 0 = hardware concurrency.
   unsigned Threads = 1;
   /// Frame cap for both directions.
   std::size_t MaxFrameBytes = protocol::DefaultMaxFrameBytes;
@@ -86,6 +91,12 @@ struct ServerConfig {
   /// Error(Overloaded) WITHOUT being dispatched — bounded shed work per
   /// frame, no allocation proportional to the flood. 0 = disabled.
   std::size_t InFlightBudgetBytes = 8u << 20;
+  /// Session admission: once this many sessions are live, a frame that
+  /// would open a NEW session (a connection's first plain frame or a
+  /// Resume(0, 0) handshake) is answered Error(Overloaded) instead, while
+  /// existing sessions — and Resume re-attaches to parked ones — keep
+  /// being served. 0 = unlimited.
+  std::size_t MaxSessions = 0;
   /// @}
 
   /// \name Session resume.
@@ -98,21 +109,6 @@ struct ServerConfig {
   std::size_t MaxParkedSessions = 64;
   std::size_t MaxParkedJournalBytes = 256u << 20;
   /// @}
-
-  /// \name Shard routing (consumed by ShardRouter / LivenessServer, not
-  /// by an individual SessionManager).
-  /// @{
-  /// Worker shards behind the router: each owns its own SessionManager
-  /// and query pool (of \c Threads workers). 1 = the classic single-shard
-  /// server; the router layer exists either way so the ssalive_router_*
-  /// telemetry series are always live.
-  unsigned Shards = 1;
-  /// Router-level shedding: when the live sessions aggregated across all
-  /// shards reach this cap, frames that would open a NEW session are
-  /// answered Error(Overloaded) instead (existing sessions keep being
-  /// served). 0 = unlimited.
-  std::size_t MaxSessions = 0;
-  /// @}
 };
 
 class SessionManager;
@@ -122,7 +118,6 @@ class SessionManager;
 /// concurrency comes from many sessions sharing the pool.
 class Session {
 public:
-  explicit Session(SessionManager &Owner);
   ~Session();
 
   Session(const Session &) = delete;
@@ -140,10 +135,6 @@ public:
   /// True once a Shutdown request was seen (the transport layer stops the
   /// server after sending the Ok reply).
   bool shutdownRequested() const { return ShutdownSeen; }
-
-  /// The manager (shard) this session belongs to — where its journal is
-  /// parked on disconnect. The router routes a session back here.
-  SessionManager &manager() const { return Owner; }
 
   /// \name Resume plane (driven by SessionManager and the transport).
   /// A resumable session journals every payload handle() dispatches, in
@@ -186,6 +177,9 @@ private:
   std::vector<std::uint8_t> handleStats();
   std::vector<std::uint8_t> handleMetrics();
 
+  /// Sessions are only made by SessionManager, which has already reserved
+  /// this session's slot in its live-session count.
+  explicit Session(SessionManager &Owner);
   friend class SessionManager;
 
   SessionManager &Owner;
@@ -218,32 +212,25 @@ private:
   std::size_t JournalBytes = 0;
 };
 
-/// Owns what every session shares: the config, the one process-wide query
-/// pool, and the parked-journal store of the resume plane. Thread-safe;
-/// sessions are created, parked, and resumed from concurrent connection
-/// handlers.
-///
-/// Under a ShardRouter each shard is one SessionManager. Session ids are
-/// minted as FirstSessionId + k*SessionIdStride, so a router that hands
-/// shard i the arithmetic progression (i+1, i+1+N, ...) gets process-wide
-/// unique ids without any cross-shard coordination.
+/// Owns what every session shares: the config, the one query pool,
+/// session admission, and the parked-journal store of the resume plane.
+/// Thread-safe; sessions are created, parked, and resumed from concurrent
+/// connection handlers.
 class SessionManager {
 public:
-  explicit SessionManager(ServerConfig Cfg, std::uint64_t FirstSessionId = 1,
-                          std::uint64_t SessionIdStride = 1)
-      : Cfg(Cfg), Pool(Cfg.Threads), NextSessionId(FirstSessionId),
-        SessionIdStride(SessionIdStride ? SessionIdStride : 1) {}
+  explicit SessionManager(ServerConfig Cfg) : Cfg(Cfg), Pool(Cfg.Threads) {}
 
   const ServerConfig &config() const { return Cfg; }
   ThreadPool &pool() { return Pool; }
 
-  std::unique_ptr<Session> createSession() {
-    SessionsCreated.fetch_add(1, std::memory_order_relaxed);
-    return std::make_unique<Session>(*this);
-  }
+  /// Admits a new session, or returns null when ServerConfig::MaxSessions
+  /// sessions are already live — the caller sheds the frame that asked.
+  /// The cap check and the slot reservation are one compare-exchange, so
+  /// concurrent callers can never overshoot the cap.
+  std::unique_ptr<Session> createSession();
 
-  /// Creates a session that journals its dispatched requests under a fresh
-  /// id (the Resume sessionId=0 handshake).
+  /// createSession() for the Resume sessionId=0 handshake: the session
+  /// journals its dispatched requests under a fresh id. Null when shed.
   std::unique_ptr<Session> createResumableSession();
 
   /// Outcome of a Resume(sessionId != 0) handshake.
@@ -263,7 +250,8 @@ public:
   /// client acknowledged not having seen. Error(UnknownSession) if the id
   /// was never issued, was evicted, or overflowed its journal bound;
   /// Error(BadResume) if \p HighWaterMark exceeds the journal length (the
-  /// journal stays parked in that case).
+  /// journal stays parked in that case). Not subject to MaxSessions: a
+  /// re-attach serves an existing session, it does not admit a new one.
   ResumeResult resumeSession(std::uint64_t SessionId,
                              std::uint64_t HighWaterMark);
 
@@ -272,73 +260,37 @@ public:
   /// the oldest parked journals past the configured caps.
   void parkSession(std::unique_ptr<Session> S);
 
-  /// \name Cross-shard migration (the router's resume-plane primitive).
-  /// A parked journal is just replayable bytes, so any shard can rebuild
-  /// the session: the router steals the journal from the shard that holds
-  /// it and adopts it on the target shard. resumeSession() below is
-  /// exactly steal + adopt on one manager.
-  /// @{
-  /// One parked session's replayable state, detached from its shard.
-  struct ParkedJournal {
-    std::vector<std::vector<std::uint8_t>> Journal;
-    std::size_t Bytes = 0;
-  };
-
-  /// Pops the parked journal for \p SessionId after validating the
-  /// client's high-water mark. On refusal returns false with the Error
-  /// frame in \p ErrReply — and the journal (if any) stays parked, so a
-  /// confused client cannot destroy a resumable session.
-  bool stealParkedJournal(std::uint64_t SessionId,
-                          std::uint64_t HighWaterMark, ParkedJournal &Out,
-                          std::vector<std::uint8_t> &ErrReply);
-
-  /// Rebuilds a session OWNED BY THIS MANAGER from \p P by replaying the
-  /// whole request sequence against a fresh Session (reply purity makes
-  /// the rebuild byte-identical wherever it runs). \p HighWaterMark must
-  /// already be validated against the journal length.
-  ResumeResult adoptJournal(std::uint64_t SessionId,
-                            std::uint64_t HighWaterMark, ParkedJournal P);
-  /// @}
-
-  std::uint64_t sessionsCreated() const {
-    return SessionsCreated.load(std::memory_order_relaxed);
-  }
-
-  /// Sessions currently alive on this manager (created, not yet
-  /// destroyed) — the load figure the router's bounded-load placement and
-  /// shedding read.
+  /// Sessions currently alive (admitted, not yet destroyed) — the figure
+  /// MaxSessions caps.
   std::int64_t activeSessions() const {
     return ActiveSessions.load(std::memory_order_relaxed);
   }
-
-  /// Mirrors activeSessions() into \p G on every open/close (the router
-  /// installs the per-shard ssalive_router_shard<i>_sessions gauge here).
-  /// Must be set before the first session is created.
-  void setActivityGauge(const telemetry::Gauge *G) { ActivityGauge = G; }
 
   /// Parked journals currently held (tests).
   std::size_t parkedSessions() const;
 
 private:
   friend class Session;
-  void noteSessionOpened();
-  void noteSessionClosed();
 
+  /// Reserves a live-session slot and builds the session on it; null past
+  /// MaxSessions when \p Capped.
+  std::unique_ptr<Session> openSession(bool Capped);
   void evictLockedPastCaps();
+
+  /// One parked session's replayable state.
+  struct ParkedJournal {
+    std::vector<std::vector<std::uint8_t>> Journal;
+    std::size_t Bytes = 0;
+  };
 
   ServerConfig Cfg;
   ThreadPool Pool;
-  std::atomic<std::uint64_t> SessionsCreated{0};
   std::atomic<std::int64_t> ActiveSessions{0};
-  const telemetry::Gauge *ActivityGauge = nullptr;
-  std::atomic<std::uint64_t> NextSessionId;
-  std::uint64_t SessionIdStride = 1;
+  std::atomic<std::uint64_t> NextSessionId{1};
 
   mutable std::mutex ParkedMutex;
-  /// Insertion-ordered (ids minted by this shard are monotone): begin()
-  /// is the oldest, the one the eviction policy drops first. A journal
-  /// adopted from another shard may interleave arbitrarily; eviction
-  /// order stays oldest-id-first, which is close enough to oldest-parked.
+  /// Ordered by id, and ids are minted monotonically: begin() is the
+  /// oldest session, the one the eviction policy drops first.
   std::map<std::uint64_t, ParkedJournal> ParkedById;
   std::size_t ParkedBytes = 0;
 };

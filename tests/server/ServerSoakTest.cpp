@@ -373,7 +373,8 @@ TEST(ServerSoak, UnixSocketAcceptLoopServesAndShutsDown) {
 // reconnects with Resume, and every reply — before the kill, re-sent as
 // pending, and after the resume — must be byte-identical to an
 // uninterrupted in-process oracle session fed the same sequence. Soaked
-// across three backends concurrently against one server.
+// across both LiveCheck flavors and both planes concurrently against one
+// server, beside plain differential clients on every backend.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -563,7 +564,8 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
   // Registry reconcile ACROSS the kill/resume cycle: the journal replay
   // that rebuilds each killed session must not re-increment the
   // process-wide query counter, so the delta is exactly the oracle's
-  // dispatch count plus the live server's — 2x each client's stream.
+  // dispatch count plus the live server's — 2x each resume client's
+  // stream; a plain client's oracle is a bare driver, so it adds 1x.
   std::uint64_t QueriesBefore =
       telemetry::Registry::global().value("ssalive_server_queries_total");
   std::atomic<std::uint64_t> QueryLedger{0};
@@ -581,6 +583,17 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
       {3002, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
       {3003, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
   };
+  // Plain differential clients on the same server, covering the baseline
+  // backends too: journal replay runs next to live sessions on the shared
+  // pool, and neither may perturb the other's bytes.
+  std::vector<ClientPlan> Plain = {
+      {3101, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 400,
+       24, 10},
+      {3102, BatchBackend::LiveCheckFiltered, QueryPlane::BlockId, 400, 24,
+       10},
+      {3103, BatchBackend::Dataflow, QueryPlane::BlockId, 400, 24, 10},
+      {3104, BatchBackend::PathExploration, QueryPlane::BlockId, 400, 24, 10},
+  };
   std::vector<std::thread> Clients;
   for (std::size_t I = 0; I != Plans.size(); ++I)
     Clients.emplace_back([&, I] {
@@ -588,8 +601,20 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
                       Plans[I].Backend, Plans[I].Plane,
                       static_cast<unsigned>(I), &QueryLedger);
     });
+  std::atomic<std::uint64_t> PlainRequests{0};
+  for (std::size_t I = 0; I != Plain.size(); ++I)
+    Clients.emplace_back([&, I] {
+      int Fd = connectLoopback(Server.boundTcpPort());
+      ASSERT_GE(Fd, 0) << "plain client " << I;
+      PlainRequests.fetch_add(runClient(Fd, Plain[I],
+                                        static_cast<unsigned>(Plans.size() + I),
+                                        &QueryLedger));
+      ::close(Fd);
+    });
   for (std::thread &T : Clients)
     T.join();
+  EXPECT_GT(PlainRequests.load(), Plain.size() * 400u * 10u)
+      << "the plain clients must run their streams";
 
   EXPECT_EQ(telemetry::Registry::global().value(
                 "ssalive_server_resume_ok_total") -

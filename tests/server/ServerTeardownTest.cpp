@@ -15,7 +15,9 @@
 //    unconditionally unlinked the path, orphaning it) while still
 //    cleaning up a stale file from a dead one.
 //  * Overload shedding: connections past MaxConnections get one
-//    well-formed Error(Overloaded) and a close.
+//    well-formed Error(Overloaded) and a close; past MaxSessions, frames
+//    that would open a new session are shed while existing sessions keep
+//    being served, and concurrent admissions never overshoot the cap.
 //  * The resume plane: unknown/evicted ids, bad high-water marks,
 //    journal-overflow latching, oldest-first eviction, and the core
 //    replay contract — a park/resume cycle rebuilds a session whose
@@ -35,6 +37,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <netinet/in.h>
@@ -42,6 +45,7 @@
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -344,6 +348,123 @@ TEST(ServerOverload, ShedFramesDoNotCountTowardTheResumeHighWaterMark) {
   EXPECT_EQ(Reply, proto::encodeOk());
   ::close(Fd);
   Server.wait();
+}
+
+// Session admission: past MaxSessions, NEW sessions are refused with
+// Error(Overloaded) while existing ones keep being served.
+TEST(ServerOverload, SessionCapShedsNewSessionsButServesExisting) {
+  proto::ignoreSigpipe();
+  server::ServerConfig Cfg;
+  Cfg.Threads = 1;
+  Cfg.MaxSessions = 1;
+  server::LivenessServer Server(Cfg);
+
+  int PairA[2], PairB[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, PairA), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, PairB), 0);
+  std::thread SideA([&] {
+    Server.serveStream(PairA[1], PairA[1]);
+    ::close(PairA[1]);
+  });
+  std::thread SideB([&] {
+    Server.serveStream(PairB[1], PairB[1]);
+    ::close(PairB[1]);
+  });
+
+  std::uint64_t ShedsBefore = telemetry::Registry::global().value(
+      "ssalive_server_shed_sessions_total");
+
+  // Client A takes the only session slot.
+  std::vector<std::uint8_t> Reply;
+  ASSERT_TRUE(proto::roundTrip(PairA[0], PairA[0], proto::encodeStats(),
+                               Reply));
+  EXPECT_EQ(Reply[0], static_cast<std::uint8_t>(proto::Opcode::StatsReply));
+
+  // Client B's first frame would open session #2: shed, connection stays
+  // usable. Client A keeps being served the whole time.
+  ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], proto::encodeStats(),
+                               Reply));
+  EXPECT_TRUE(isError(Reply, proto::ErrorCode::Overloaded))
+      << "past MaxSessions a new session must be shed";
+  ASSERT_TRUE(proto::roundTrip(PairA[0], PairA[0], proto::encodeStats(),
+                               Reply));
+  EXPECT_EQ(Reply[0], static_cast<std::uint8_t>(proto::Opcode::StatsReply));
+
+  // A resumable-open handshake is admission too: shed the same way.
+  ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], proto::encodeResume(0, 0),
+                               Reply));
+  EXPECT_TRUE(isError(Reply, proto::ErrorCode::Overloaded));
+  EXPECT_EQ(telemetry::Registry::global().value(
+                "ssalive_server_shed_sessions_total") -
+                ShedsBefore,
+            2u)
+      << "each shed admission counts once";
+
+  // Client A leaves; once its session closes, B's retry is admitted.
+  ::close(PairA[0]);
+  SideA.join();
+  bool Served = false;
+  for (int Try = 0; Try != 500 && !Served; ++Try) {
+    ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], proto::encodeStats(),
+                                 Reply));
+    Served =
+        Reply[0] == static_cast<std::uint8_t>(proto::Opcode::StatsReply);
+    if (!Served) {
+      ASSERT_TRUE(isError(Reply, proto::ErrorCode::Overloaded));
+      ::usleep(5000);
+    }
+  }
+  EXPECT_TRUE(Served) << "a freed slot must admit the waiting client";
+  ::close(PairB[0]);
+  SideB.join();
+}
+
+// The admission race: the cap check and the slot reservation are one
+// step, so of 8 threads opening sessions at once against MaxSessions = 1
+// — every winner holding its session until all have tried — exactly one
+// gets a session. A Resume re-attach is service, not admission: it is
+// never capped.
+TEST(ServerOverload, ConcurrentAdmissionsNeverOvershootTheSessionCap) {
+  server::ServerConfig Cfg;
+  Cfg.MaxSessions = 1;
+  server::SessionManager Mgr(Cfg);
+
+  // A parked resumable session to re-attach once the cap is taken.
+  auto Parked = Mgr.createResumableSession();
+  ASSERT_NE(Parked, nullptr);
+  const std::uint64_t Id = Parked->sessionId();
+  Mgr.parkSession(std::move(Parked));
+  ASSERT_EQ(Mgr.activeSessions(), 0);
+
+  constexpr unsigned Racers = 8;
+  for (unsigned Round = 0; Round != 50; ++Round) {
+    std::atomic<bool> Go{false};
+    std::atomic<unsigned> Tried{0}, Winners{0};
+    std::vector<std::thread> Threads;
+    for (unsigned I = 0; I != Racers; ++I)
+      Threads.emplace_back([&, I] {
+        while (!Go.load(std::memory_order_acquire))
+          std::this_thread::yield();
+        auto S = I % 2 ? Mgr.createSession() : Mgr.createResumableSession();
+        if (S)
+          Winners.fetch_add(1);
+        Tried.fetch_add(1);
+        while (Tried.load() != Racers) // Winners hold their session.
+          std::this_thread::yield();
+      });
+    Go.store(true, std::memory_order_release);
+    for (std::thread &T : Threads)
+      T.join();
+    ASSERT_EQ(Winners.load(), 1u) << "round " << Round;
+    ASSERT_EQ(Mgr.activeSessions(), 0) << "round " << Round;
+  }
+
+  auto Holder = Mgr.createSession();
+  ASSERT_NE(Holder, nullptr);
+  EXPECT_EQ(Mgr.createSession(), nullptr);
+  auto R = Mgr.resumeSession(Id, /*HighWaterMark=*/0);
+  ASSERT_NE(R.S, nullptr) << "a re-attach must not be capped";
+  EXPECT_EQ(Mgr.activeSessions(), 2);
 }
 
 //===----------------------------------------------------------------------===//

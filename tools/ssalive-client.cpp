@@ -32,7 +32,7 @@
 //     --seed=S --queries=N --batch=K --repeat=R
 //     --edits=E               CFG-edit commands sent between repeats,
 //                             routed through the server's refresh plane
-//     --threads=N             pool threads for a spawned server
+//     --threads=N             query-pool workers for a spawned server
 //     --verify                byte-compare every reply against the oracle
 //     --metrics               fetch the server's telemetry registry via
 //                             the Metrics opcode and print a summary
@@ -92,7 +92,6 @@ struct CliOptions {
   unsigned Repeat = 2;
   unsigned Edits = 0;
   unsigned Threads = 1;
-  unsigned Shards = 1; ///< Worker shards for a --spawn'ed server.
   bool Verify = false;
   bool Metrics = false;
   std::string MetricsOutPath;
@@ -169,9 +168,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--threads=", 0) == 0 &&
                parseUnsigned(Arg.c_str() + 10, N)) {
       Opts.Threads = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--shards=", 0) == 0 &&
-               parseUnsigned(Arg.c_str() + 9, N) && N != 0) {
-      Opts.Shards = static_cast<unsigned>(N);
     } else if (Arg == "--verify") {
       Opts.Verify = true;
     } else if (Arg == "--metrics") {
@@ -290,10 +286,8 @@ bool spawnPipeServer(const CliOptions &Opts, Connection &Conn) {
     ::close(FromServer[0]);
     ::close(FromServer[1]);
     std::string ThreadsArg = "--threads=" + std::to_string(Opts.Threads);
-    std::string ShardsArg = "--shards=" + std::to_string(Opts.Shards);
     ::execl(Opts.SpawnBinary.c_str(), Opts.SpawnBinary.c_str(), "--stdio",
-            ThreadsArg.c_str(), ShardsArg.c_str(),
-            static_cast<char *>(nullptr));
+            ThreadsArg.c_str(), static_cast<char *>(nullptr));
     std::perror("execl");
     _exit(127);
   }
@@ -362,9 +356,8 @@ bool spawnUnixServer(const CliOptions &Opts, Connection &Conn) {
   if (Pid == 0) {
     std::string SocketArg = "--socket=" + Path;
     std::string ThreadsArg = "--threads=" + std::to_string(Opts.Threads);
-    std::string ShardsArg = "--shards=" + std::to_string(Opts.Shards);
     ::execl(Opts.SpawnBinary.c_str(), Opts.SpawnBinary.c_str(),
-            SocketArg.c_str(), ThreadsArg.c_str(), ShardsArg.c_str(),
+            SocketArg.c_str(), ThreadsArg.c_str(),
             static_cast<char *>(nullptr));
     std::perror("execl");
     _exit(127);
@@ -403,10 +396,9 @@ bool spawnTcpServer(const CliOptions &Opts, Connection &Conn) {
   if (Pid == 0) {
     std::string PortFileArg = "--port-file=" + PortFile;
     std::string ThreadsArg = "--threads=" + std::to_string(Opts.Threads);
-    std::string ShardsArg = "--shards=" + std::to_string(Opts.Shards);
     ::execl(Opts.SpawnBinary.c_str(), Opts.SpawnBinary.c_str(),
             "--tcp=127.0.0.1:0", PortFileArg.c_str(), ThreadsArg.c_str(),
-            ShardsArg.c_str(), static_cast<char *>(nullptr));
+            static_cast<char *>(nullptr));
     std::perror("execl");
     _exit(127);
   }

@@ -175,29 +175,16 @@ std::uint64_t valueOf(const std::vector<telemetry::Metric> &Metrics,
   return 0;
 }
 
-/// The router summary: shard count, per-shard live sessions, and the
-/// routed/migrated/shed totals — the at-a-glance view of how the
-/// consistent-hash placement is spreading load.
-void printRouterSummary(const std::vector<telemetry::Metric> &Metrics) {
-  std::uint64_t Shards = valueOf(Metrics, "ssalive_router_shards");
-  if (Shards == 0)
-    return; // Pre-router server; nothing to summarize.
-  std::printf("router: %llu shard(s), %llu session(s) routed, "
-              "%llu migration(s), %llu shed\n",
-              static_cast<unsigned long long>(Shards),
+/// The session summary: live sessions, sessions ever opened, and new
+/// sessions shed at the MaxSessions admission cap.
+void printSessionSummary(const std::vector<telemetry::Metric> &Metrics) {
+  std::printf("sessions: %llu active, %llu opened, %llu shed\n",
               static_cast<unsigned long long>(
-                  valueOf(Metrics, "ssalive_router_sessions_routed_total")),
+                  valueOf(Metrics, "ssalive_server_sessions_active")),
               static_cast<unsigned long long>(
-                  valueOf(Metrics, "ssalive_router_migrations_total")),
+                  valueOf(Metrics, "ssalive_server_sessions_opened_total")),
               static_cast<unsigned long long>(
-                  valueOf(Metrics, "ssalive_router_sheds_total")));
-  for (std::uint64_t I = 0; I != Shards; ++I) {
-    std::string Name =
-        "ssalive_router_shard" + std::to_string(I) + "_sessions";
-    std::printf("  shard %llu: %lld live session(s)\n",
-                static_cast<unsigned long long>(I),
-                static_cast<long long>(valueOf(Metrics, Name.c_str())));
-  }
+                  valueOf(Metrics, "ssalive_server_shed_sessions_total")));
 }
 
 } // namespace
@@ -229,7 +216,7 @@ int main(int Argc, char **Argv) {
 
   printHuman(Metrics);
   printFrameLatencySummary(Metrics);
-  printRouterSummary(Metrics);
+  printSessionSummary(Metrics);
 
   // --watch: repoll on the same connection and report the query rate the
   // registry observed between snapshots.
