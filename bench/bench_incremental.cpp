@@ -53,20 +53,14 @@ double medianUs(std::vector<double> &V) {
 }
 
 /// Folds a spread of liveness answers from \p FA's engine into a
-/// checksum — every block in both directions, one answerPreparedRun call
-/// per sampled value; both managers' engines must produce identical
-/// streams.
+/// checksum — every block in both directions, one isLive*Prepared call
+/// per (sampled value, block, direction); both managers' engines must
+/// produce identical streams.
 std::uint64_t answerChecksum(FunctionAnalyses &FA) {
   const LiveCheck &LC = FA.liveCheck();
   const DomTree &DT = FA.domTree();
   std::uint64_t Sum = 0xcbf29ce484222325ull;
   unsigned N = LC.numNodes();
-  std::vector<LiveCheck::PreparedProbe> Probes;
-  for (unsigned B = 0; B != N; ++B)
-    Probes.push_back({B, /*IsLiveOut=*/false});
-  for (unsigned B = 0; B != N; ++B)
-    Probes.push_back({B, /*IsLiveOut=*/true});
-  std::vector<std::uint8_t> Answers(Probes.size());
   std::vector<unsigned> Nums;
   unsigned Sampled = 0;
   for (const auto &V : FA.function().values()) {
@@ -83,12 +77,11 @@ std::uint64_t answerChecksum(FunctionAnalyses &FA) {
     LC.prepareDef(Def, PV);
     PV.NumsBegin = Nums.data();
     PV.NumsEnd = Nums.data() + Nums.size();
-    LC.answerPreparedRun(PV, Probes.data(), Probes.size(), Answers.data());
     for (unsigned B = 0; B != N; ++B)
-      if (Answers[B])
+      if (LC.isLiveInPrepared(PV, B))
         Sum = (Sum ^ (std::uint64_t(Def) * 131 + B)) * 0x100000001b3ull;
     for (unsigned B = 0; B != N; ++B)
-      if (Answers[N + B])
+      if (LC.isLiveOutPrepared(PV, B))
         Sum = (Sum ^ (std::uint64_t(Def) * 137 + B + N)) * 0x100000001b3ull;
     if (++Sampled == 48)
       break;

@@ -1135,179 +1135,6 @@ bool LiveCheck::isLiveOut(unsigned DefBlock, unsigned Q,
 }
 
 //===----------------------------------------------------------------------===//
-// Multi-query kernel
-//===----------------------------------------------------------------------===//
-
-void LiveCheck::answerPreparedRun(const PreparedVar &V,
-                                  const PreparedProbe *Probes, std::size_t N,
-                                  std::uint8_t *Answers,
-                                  LiveCheckStats *Sink) const {
-  unsigned Interval = V.MaxDom > V.DefNum ? V.MaxDom - V.DefNum : 0;
-  // The sweep amortizes one interval pass over the run; below the
-  // break-even (short runs, or runs small next to the dominance interval)
-  // the per-probe scan kernels with their subtree skips are cheaper.
-  bool Sweep = N >= 8 && std::size_t(Interval) <= N * 8;
-  if (!Sweep) {
-    for (std::size_t I = 0; I != N; ++I)
-      Answers[I] = Probes[I].IsLiveOut
-                       ? isLiveOutPrepared(V, Probes[I].Block, Sink)
-                       : isLiveInPrepared(V, Probes[I].Block, Sink);
-    return;
-  }
-
-  bool AnyOut = false;
-  for (std::size_t I = 0; I != N && !AnyOut; ++I)
-    AnyOut = Probes[I].IsLiveOut;
-  if (Sink)
-    for (std::size_t I = 0; I != N; ++I)
-      ++(Probes[I].IsLiveOut ? Sink->LiveOutQueries : Sink->LiveInQueries);
-
-  // Pass 1 — the Algorithm-1 line-4 verdict "does R_t reach a use?",
-  // evaluated once per relevant target instead of once per (probe, target)
-  // pair. A T_q row holds only back-edge targets plus q itself (see the
-  // propagation comment), so verdicts are needed only at the interval's
-  // back-edge targets — shared by every probe — and at the probed blocks
-  // themselves for the self bit. The rest of the interval can never be
-  // read through any T_q ∩ Good intersection. The existential form matches
-  // the scan kernels including the Theorem-2 fast path: on reducible CFGs
-  // the most-dominating target's verdict agrees with the disjunction over
-  // all targets. Nums-backed
-  // variables with few uses probe the use numbers directly instead of
-  // sweeping a mask row.
-  unsigned Lo = V.DefNum + 1;
-  unsigned Stride = RMat.strideWords();
-  std::size_t NumUses = std::size_t(V.NumsEnd - V.NumsBegin);
-  pool::BitsetPool::Handle ScratchMaskH;
-  const BitMatrix::Word *MaskW = nullptr;
-  unsigned MaskWidth = 0;
-  bool BitsProbe = false;
-  if (V.MaskWords) {
-    MaskW = V.MaskWords;
-    MaskWidth = std::min(Stride, V.MaskNumWords);
-  } else if (NumUses <= 16) {
-    BitsProbe = true;
-  } else {
-    ScratchMaskH = pool::scratchBitset(NumNodes);
-    BitVector &ScratchMask = *ScratchMaskH;
-    for (const unsigned *U = V.NumsBegin; U != V.NumsEnd; ++U)
-      ScratchMask.set(*U);
-    MaskW = ScratchMask.words();
-    MaskWidth = Stride;
-  }
-  auto GoodH = pool::scratchBitset(NumNodes);
-  BitVector &Good = *GoodH;
-  unsigned Visited = 0;
-  auto anyUseReached = [&](unsigned T) {
-    ++Visited;
-    const BitMatrix::Word *R = RMat.row(T);
-    return BitsProbe ? BitMatrix::wordsAnyOfBits(R, V.NumsBegin, NumUses)
-                     : BitMatrix::wordsAnyCommon(R, MaskW, MaskWidth);
-  };
-  for (unsigned T = Lo; T <= V.MaxDom; ++T) {
-    if (!BackTargetByNum[T])
-      continue;
-    if (anyUseReached(T))
-      Good.set(T);
-  }
-  const BitMatrix::Word *GoodW = Good.words();
-
-  // Pass 2 — one answer per distinct (block, direction), deduplicated by
-  // the Done bitsets; repeated probes of the run collapse to a bit test in
-  // the gather below. Each distinct answer is one word-parallel
-  // T_q ∩ Good range sweep over the back-target verdicts, plus the self
-  // bit of q's own T row resolved on demand: q's full-use verdict for
-  // live-in (the sweep's self bit is Good[q] when q is itself a back-edge
-  // target, zero otherwise), the use-at-q-excluded verdict for live-out
-  // (Algorithm 2 line 8; back-edge-target self bits need no exclusion and
-  // ride the sweep).
-  auto QNumsH = pool::scratchArray();
-  std::vector<unsigned> &QNums = *QNumsH;
-  QNums.resize(N);
-  for (std::size_t I = 0; I != N; ++I)
-    QNums[I] = DT.num(Probes[I].Block);
-  auto AnsInH = pool::scratchBitset(NumNodes);
-  BitVector &AnsIn = *AnsInH;
-  auto DoneInH = pool::scratchBitset(NumNodes);
-  BitVector &DoneIn = *DoneInH;
-  auto AnsOutH =
-      AnyOut ? pool::scratchBitset(NumNodes) : pool::BitsetPool::Handle();
-  auto DoneOutH =
-      AnyOut ? pool::scratchBitset(NumNodes) : pool::BitsetPool::Handle();
-  for (std::size_t I = 0; I != N; ++I) {
-    unsigned QNum = QNums[I];
-    if (QNum < Lo || V.MaxDom < QNum)
-      continue;
-    if (!Probes[I].IsLiveOut) {
-      if (DoneIn.test(QNum))
-        continue;
-      DoneIn.set(QNum);
-      const BitMatrix::Word *T = TMat.row(QNum);
-      bool A = BitMatrix::wordsAnyCommonInRange(T, GoodW, Lo, V.MaxDom);
-      if (!A && !BackTargetByNum[QNum])
-        A = anyUseReached(QNum);
-      if (A)
-        AnsIn.set(QNum);
-    } else {
-      if (DoneOutH->test(QNum))
-        continue;
-      DoneOutH->set(QNum);
-      const BitMatrix::Word *T = TMat.row(QNum);
-      // Good has no bit at a non-back-target q, so the unexcluded sweep
-      // already skips q's self bit there.
-      bool A = BitMatrix::wordsAnyCommonInRange(T, GoodW, Lo, V.MaxDom);
-      if (!A && !BackTargetByNum[QNum]) {
-        ++Visited;
-        const BitMatrix::Word *R = RMat.row(QNum);
-        if (BitsProbe) {
-          for (const unsigned *U = V.NumsBegin; U != V.NumsEnd && !A; ++U)
-            A = *U != QNum && BitMatrix::testBit(R, *U);
-        } else {
-          A = BitMatrix::wordsAnyCommon(R, MaskW, MaskWidth,
-                                        /*ExcludeBit=*/QNum);
-        }
-      }
-      if (A)
-        AnsOutH->set(QNum);
-    }
-  }
-  if (Sink) {
-    // Evaluation counters: one target visit and one use test per verdict
-    // the sweep actually evaluated.
-    Sink->TargetsVisited += Visited;
-    Sink->UseTests += Visited;
-  }
-
-  // Gather — every probe reads its distinct answer's bit; only the def
-  // block (Algorithm 2 case 1, shared by the run) and out-of-interval
-  // probes bypass the bitsets.
-  std::uint8_t DefOutAnswer = 0;
-  if (AnyOut) {
-    if (V.MaskWords) {
-      DefOutAnswer =
-          BitMatrix::wordsAnyExcept(V.MaskWords, V.MaskNumWords, V.DefNum);
-    } else {
-      for (const unsigned *U = V.NumsBegin; U != V.NumsEnd; ++U)
-        if (*U != V.DefNum) {
-          DefOutAnswer = 1;
-          break;
-        }
-    }
-  }
-  for (std::size_t I = 0; I != N; ++I) {
-    unsigned QNum = QNums[I];
-    if (Probes[I].IsLiveOut && QNum == V.DefNum) {
-      Answers[I] = DefOutAnswer;
-      continue;
-    }
-    if (QNum <= V.DefNum || V.MaxDom < QNum) {
-      Answers[I] = 0;
-      continue;
-    }
-    Answers[I] = Probes[I].IsLiveOut ? AnsOutH->test(QNum) : AnsIn.test(QNum);
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Introspection
 //===----------------------------------------------------------------------===//
 

@@ -49,11 +49,12 @@
 /// high-use-count variables, where the per-target test collapses to a
 /// word-level `R_t ∩ UseMask != ∅` sweep). FunctionLiveness, the batch
 /// driver and the server prepare each variable once through
-/// core/PreparedCache and ask isLive*Prepared, or answerPreparedRun for a
-/// run of queries on one variable. The block-id isLiveIn/isLiveOut are
-/// thin wrappers kept as the block-id plane and the differential oracle:
-/// they number the use span once per query and forward to the prepared
-/// entry points.
+/// core/PreparedCache and ask isLive*Prepared, one call per query: a query
+/// is a handful of bit tests (a scan of T_q ∩ sdom(def) probing R_t), so
+/// there is nothing left for a multi-query kernel to amortize. The block-id
+/// isLiveIn/isLiveOut are thin wrappers kept as the block-id plane and the
+/// differential oracle: they number the use span once per query and
+/// forward to the prepared entry points.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -287,35 +288,6 @@ public:
                    /*ExcludeTrivialQ=*/true, Sink);
   }
 
-  /// One point query of a same-value run: the block asked about and the
-  /// direction. Block ids, not numbers — translation happens inside the
-  /// kernel.
-  struct PreparedProbe {
-    unsigned Block = 0;
-    bool IsLiveOut = false;
-  };
-
-  /// Multi-query kernel: answers \p N probes against ONE prepared variable
-  /// in a single call, writing 0/1 into Answers[i] for Probes[i]. Answers
-  /// are bit-identical to calling isLiveInPrepared / isLiveOutPrepared per
-  /// probe — the batch driver's locality-grouped path relies on that, and
-  /// tests/core pins it differentially.
-  ///
-  /// With enough probes relative to the dominance interval, the kernel
-  /// amortizes: one pass over the interval classifies every target t by
-  /// `R_t ∩ uses != ∅` (the Algorithm-1 verdict, plus the self-excluded
-  /// variant Algorithm 2 needs) into pooled Good/GoodSelf rows, then each
-  /// probe becomes one word-parallel `T_q ∩ Good != ∅` range sweep over
-  /// the blocks actually asked about. Short runs fall back to the
-  /// per-probe entry points.
-  ///
-  /// Stats contract: LiveInQueries/LiveOutQueries in \p Sink count exactly
-  /// one per probe regardless of path; TargetsVisited/UseTests count the
-  /// verdicts the sweep evaluates when it runs (evaluation counters, not a
-  /// schedule invariant).
-  void answerPreparedRun(const PreparedVar &V, const PreparedProbe *Probes,
-                         std::size_t N, std::uint8_t *Answers,
-                         LiveCheckStats *Sink = nullptr) const;
   /// @}
 
   /// \name Introspection for tests and benches.

@@ -47,31 +47,20 @@
 ///
 /// An Entry holds only the hot query fields (Prep + the two epoch keys +
 /// Built — static_asserted to fit one cache line) plus two cold slice
-/// descriptors. The span and mask payloads themselves live in per-stripe
+/// descriptors. The span and mask payloads themselves live in two
 /// arenas: one `unsigned` arena for the sorted use-number spans, one
 /// 64-bit-word arena for the use masks. The entry table is therefore a
 /// flat scan-friendly array, and a warm ensure sweep touches contiguous
 /// memory instead of chasing ~N per-entry heap blocks. Arena growth
-/// relocates a stripe's payloads and re-anchors every outstanding
-/// Prep.NumsBegin/NumsEnd/MaskWords of that stripe from the stored
-/// offsets; freed slices (def-use rebuilds that change size class) are
-/// recycled through per-size-class freelists, and rebind() bulk-resets
-/// the arenas (capacity retained) alongside the entries.
+/// relocates the payloads and re-anchors every outstanding
+/// Prep.NumsBegin/NumsEnd/MaskWords from the stored offsets; freed slices
+/// (def-use rebuilds that change size class) are recycled through
+/// per-size-class freelists, and rebind() bulk-resets the arenas
+/// (capacity retained) alongside the entries.
 ///
 /// ## Concurrency
 ///
-/// ensure() mutates the cache and is not thread-safe per value. After
-/// sizeToFunction() has grown the entry table (growth is the only
-/// operation that relocates *entries*), ensures may run concurrently as
-/// long as each **stripe** — stripeOf(id) = id % NumStripes — has at most
-/// one writer: an entry's payload lives in its stripe's arenas, and
-/// allocation, freeing, and growth re-anchoring all stay inside that
-/// stripe, so distinct stripes are write-disjoint by construction. The
-/// batch driver's sharded cold-fill mode assigns whole stripes to
-/// workers on exactly this contract; its warm sweep stays sequential
-/// (warm ensures are two compares — a parallel fill measured slower).
-/// cached() is const, lock-free, and safe for any number of concurrent
-/// readers — the query phase of the batch pipeline.
+/// ensure() mutates; cached() is safe for concurrent readers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,16 +71,13 @@
 #include "ir/Function.h"
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace ssalive {
 
-/// Outcome counters, for tests and the throughput reports. Snapshot of
-/// internally atomic counters (ensure() may run concurrently on distinct
-/// stripes).
+/// Outcome counters, for tests and the throughput reports.
 struct PreparedCacheStats {
   std::uint64_t Hits = 0;       ///< Fresh entry served as-is.
   std::uint64_t Builds = 0;     ///< First-time entry builds.
@@ -108,14 +94,6 @@ struct PreparedCacheStats {
 /// objects) requires rebind().
 class PreparedCache {
 public:
-  /// Arena striping: entry id % NumStripes selects the arena shard that
-  /// owns the entry's span/mask payloads. One writer per stripe is the
-  /// concurrency unit of a sharded ensure sweep.
-  static constexpr unsigned NumStripes = 8;
-  static constexpr unsigned stripeOf(std::uint32_t ValueId) {
-    return ValueId % NumStripes;
-  }
-
   PreparedCache(const Function &F, const LiveCheck &Engine,
                 const DomTree &DT);
 
@@ -127,10 +105,8 @@ public:
   /// Drops every entry when the objects actually changed.
   void rebind(const LiveCheck &Engine, const DomTree &DT);
 
-  /// Grows the entry table to the function's current value count. Call
-  /// before a concurrent ensure() sweep: growth is the only operation that
-  /// relocates entries, so pre-sizing makes per-value ensure() calls on
-  /// distinct stripes write-disjoint.
+  /// Grows the entry table to the function's current value count, so an
+  /// ensure() sweep over the function's values never resizes mid-sweep.
   void sizeToFunction();
 
   /// The prepared entry for \p V, built or rebuilt as needed (see the
@@ -145,12 +121,7 @@ public:
     if (V.id() < Entries.size()) {
       Entry &E = Entries[V.id()];
       if (fresh(E, V)) {
-        // Relaxed read-modify-write, deliberately not an atomic RMW: a
-        // locked add per cached query is measurable, and the counters are
-        // diagnostics (exact single-threaded, approximate when distinct
-        // values are ensured concurrently).
-        Hits.store(Hits.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
+        ++Counts.Hits;
         // The span/mask payload lives in the shared arenas — cold under a
         // value-random stream once the arenas outgrow L2. Start the fetch
         // now so it overlaps the prepared kernel's block-number lookups
@@ -185,7 +156,7 @@ public:
   /// and the destructor flushes whatever remains (the gauges read as the
   /// live total across caches, and a dying cache retracts its share).
   /// Keeping publication out-of-band is what lets ensure()'s hit path
-  /// stay at a single relaxed increment — the hard budget of the
+  /// stay at a single increment — the hard budget of the
   /// telemetry plane.
   void publishTelemetry();
 
@@ -211,9 +182,9 @@ private:
     std::uint64_t CFGEpoch = 0;
     std::uint64_t DefUseEpoch = 0;
     bool Built = false;
-    /// Cold slice descriptors: element offsets into the owning stripe's
-    /// arenas (stripe = entry id % NumStripes). A class of 0 means no
-    /// slice; otherwise the slice capacity is 1 << (Class - 1) elements.
+    /// Cold slice descriptors: element offsets into the arenas. A class of
+    /// 0 means no slice; otherwise the slice capacity is 1 << (Class - 1)
+    /// elements.
     /// Lengths are not stored — the span length lives in the Prep
     /// pointers, the mask word count in Prep.MaskNumWords.
     std::uint8_t NumsClass = 0;
@@ -228,23 +199,11 @@ private:
                 "Entry regrew — the flat-table scan win depends on slim "
                 "entries (cold payloads belong in the arenas)");
 
-  /// One arena stripe: the span and mask payloads of every entry with
-  /// id % NumStripes == this stripe's index, plus intrusive power-of-two
-  /// size-class freelists (a freed slice's first element stores the next
-  /// free offset; NoSlice terminates).
+  /// Intrusive power-of-two size-class freelists over the arenas: a freed
+  /// slice's first element stores the next free offset; NoSlice
+  /// terminates.
   static constexpr std::uint32_t NoSlice = 0xFFFFFFFFu;
   static constexpr unsigned NumClasses = 26; ///< up to 1<<25 elems/slice
-  struct ArenaStripe {
-    std::vector<unsigned> Spans;
-    std::vector<std::uint64_t> MaskWords;
-    std::array<std::uint32_t, NumClasses> SpanFree;
-    std::array<std::uint32_t, NumClasses> MaskFree;
-    std::uint64_t LiveSlices = 0;
-    ArenaStripe() {
-      SpanFree.fill(NoSlice);
-      MaskFree.fill(NoSlice);
-    }
-  };
 
   bool fresh(const Entry &E, const Value &V) const {
     return E.Built && E.CFGEpoch == F.cfgVersion() &&
@@ -253,7 +212,7 @@ private:
   const LiveCheck::PreparedVar &ensureSlow(const Value &V);
   /// Shared growth path: resize + conditional payload re-anchoring.
   void growTo(std::size_t Count);
-  void build(Entry &E, const Value &V, unsigned Stripe);
+  void build(Entry &E, const Value &V);
 
   /// Smallest class whose capacity 1 << class holds \p Need elements.
   static unsigned classFor(std::size_t Need) {
@@ -262,28 +221,27 @@ private:
       ++C;
     return C;
   }
-  std::uint32_t allocSpanSlice(unsigned Stripe, unsigned Class);
-  void freeSpanSlice(unsigned Stripe, unsigned Class, std::uint32_t Off);
-  std::uint32_t allocMaskSlice(unsigned Stripe, unsigned Class);
-  void freeMaskSlice(unsigned Stripe, unsigned Class, std::uint32_t Off);
-  /// Arena growth relocated a stripe's buffer: recompute the Prep
-  /// pointers of that stripe's built entries from their stored offsets.
-  /// Touches only entries of \p Stripe — the write-disjointness a
-  /// concurrent sharded fill relies on.
-  void reanchorSpans(unsigned Stripe);
-  void reanchorMasks(unsigned Stripe);
-  /// Current arena byte footprint (capacity, all stripes).
+  std::uint32_t allocSpanSlice(unsigned Class);
+  void freeSpanSlice(unsigned Class, std::uint32_t Off);
+  std::uint32_t allocMaskSlice(unsigned Class);
+  void freeMaskSlice(unsigned Class, std::uint32_t Off);
+  /// Arena growth relocated a buffer: recompute the Prep pointers of every
+  /// built entry from its stored offsets.
+  void reanchorSpans();
+  void reanchorMasks();
+  /// Current arena byte footprint (capacity).
   std::size_t arenaBytes() const;
 
   const Function &F;
   const LiveCheck *Engine;
   const DomTree *DT;
   std::vector<Entry> Entries;
-  std::array<ArenaStripe, NumStripes> Stripes;
-  std::atomic<std::uint64_t> Hits{0};
-  std::atomic<std::uint64_t> Builds{0};
-  std::atomic<std::uint64_t> Rebuilds{0};
-  std::atomic<std::uint64_t> EpochDrops{0};
+  std::vector<unsigned> Spans;
+  std::vector<std::uint64_t> MaskWords;
+  std::array<std::uint32_t, NumClasses> SpanFree;
+  std::array<std::uint32_t, NumClasses> MaskFree;
+  std::uint64_t LiveSlices = 0;
+  PreparedCacheStats Counts;
   /// What publishTelemetry() already forwarded to the registry.
   PreparedCacheStats Published;
   std::int64_t PublishedArenaBytes = 0;

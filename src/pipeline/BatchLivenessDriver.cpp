@@ -36,7 +36,6 @@ struct DriverTelemetry {
   telemetry::Counter EngineOut{"ssalive_engine_liveout_queries_total"};
   telemetry::Counter EngineTargets{"ssalive_engine_targets_visited_total"};
   telemetry::Counter EngineUseTests{"ssalive_engine_use_tests_total"};
-  telemetry::Counter ShardedFills{"ssalive_driver_sharded_fills_total"};
   telemetry::Counter Chunks{"ssalive_driver_chunks_total"};
   telemetry::Counter Steals{"ssalive_driver_steals_total"};
   telemetry::Histogram PrecomputeNs{"ssalive_driver_precompute_ns"};
@@ -193,7 +192,6 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   std::vector<const DomTree *> Trees;
   const bool UsesPreparedCache =
       usesLiveCheck() && Opts.Plane == QueryPlane::Prepared;
-  bool ShardedFill = false;
   {
   SSALIVE_SPAN("precompute");
   if (usesLiveCheck()) {
@@ -246,51 +244,11 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
         Prepared[I]->rebind(*Engines[I], *Trees[I]);
       Prepared[I]->sizeToFunction();
     }
-    // Cold-fill sharding gate: sample the workload for values without a
-    // fresh entry. A cold *giant* batch is the one place build cost
-    // dominates the sweep, and there the builds fan out across the pool
-    // by value-id stripe — each worker owns whole PreparedCache stripes,
-    // so entry writes and arena alloc/free/re-anchor traffic never cross
-    // workers. Everything warm keeps the sequential sweep untouched.
-    if (NumWorkers > 1 && Workload.size() >= Opts.ColdFillShardThreshold &&
-        Opts.ColdFillShardThreshold != SIZE_MAX) {
-      if (Opts.ColdFillShardThreshold == 0) {
-        ShardedFill = true;
-      } else {
-        constexpr std::size_t SampleStride = 64;
-        std::size_t ColdSampled = 0;
-        for (std::size_t I = 0; I < Workload.size(); I += SampleStride) {
-          const BatchQuery &Q = Workload[I];
-          const Value &V = *Funcs[Q.FuncIndex]->value(Q.ValueId);
-          if (queryableValue(V) && !Prepared[Q.FuncIndex]->isFresh(V))
-            ++ColdSampled;
-        }
-        ShardedFill =
-            ColdSampled * SampleStride >= Opts.ColdFillShardThreshold;
-      }
-    }
-    if (ShardedFill) {
-      // Worker w sweeps the stripes s with s % workers == w. Duplicate
-      // values in the workload land on the same stripe, hence the same
-      // worker — the one-writer-per-stripe contract of PreparedCache.
-      Pool->runPerWorker([&](unsigned Worker) {
-        for (const BatchQuery &Q : Workload) {
-          if (PreparedCache::stripeOf(Q.ValueId) % NumWorkers != Worker)
-            continue;
-          assert(Q.FuncIndex < Funcs.size() &&
-                 "query function out of range");
-          const Value &V = *Funcs[Q.FuncIndex]->value(Q.ValueId);
-          if (queryableValue(V))
-            Prepared[Q.FuncIndex]->ensure(V);
-        }
-      });
-    } else {
-      for (const BatchQuery &Q : Workload) {
-        assert(Q.FuncIndex < Funcs.size() && "query function out of range");
-        const Value &V = *Funcs[Q.FuncIndex]->value(Q.ValueId);
-        if (queryableValue(V))
-          Prepared[Q.FuncIndex]->ensure(V);
-      }
+    for (const BatchQuery &Q : Workload) {
+      assert(Q.FuncIndex < Funcs.size() && "query function out of range");
+      const Value &V = *Funcs[Q.FuncIndex]->value(Q.ValueId);
+      if (queryableValue(V))
+        Prepared[Q.FuncIndex]->ensure(V);
     }
   }
   // Engine resolution and the ensure sweep are part of the precompute
@@ -307,10 +265,10 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   // thread count and chunking (the scheduler-equivalence suite pins this).
   auto QueryStart = Clock::now();
   const std::size_t NumQueries = Workload.size();
-  std::size_t Chunk = Opts.ChunkSize;
-  if (Chunk == 0)
-    Chunk = std::clamp<std::size_t>(
-        NumQueries / (std::size_t(NumWorkers) * 8), 256, 4096);
+  // Adaptive chunking: enough chunks for skewed streams to rebalance,
+  // while small batches stay near one claim per worker.
+  const std::size_t Chunk = std::clamp<std::size_t>(
+      NumQueries / (std::size_t(NumWorkers) * 8), 256, 4096);
   const std::size_t NumChunks = (NumQueries + Chunk - 1) / Chunk;
   // One claim cursor per worker over its contiguous queue of chunks.
   // Thieves claim through the same cursor, so fetch_add tickets hand every
@@ -327,17 +285,6 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
                           std::memory_order_relaxed);
     Cursors[W].End = NumChunks * (W + 1) / NumWorkers;
   }
-  const bool Grouped = Opts.GroupChunks && UsesPreparedCache;
-  // Dense (function, value) key space for the grouped path's counting
-  // sort: KeyBase[F] + ValueId enumerates every value of every function
-  // without gaps. Recomputed per batch — cheap, and CFG edits can grow a
-  // function's value table between runs.
-  std::vector<std::uint32_t> KeyBase(Funcs.size() + 1, 0);
-  if (Grouped)
-    for (std::size_t F = 0; F != Funcs.size(); ++F)
-      KeyBase[F + 1] = KeyBase[F] + Funcs[F]->numValues();
-  const std::size_t KeySpace = KeyBase.empty() ? 0 : KeyBase.back();
-
   Pool->runPerWorker([&](unsigned Worker) {
     // Counters accumulate on the worker's stack: adjacent PerThread slots
     // share cache lines, and bouncing one per query would erase exactly
@@ -347,57 +294,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     // across batches: the buffers keep their capacity between runs.
     auto UsesH = pool::scratchArray();
     std::vector<unsigned> &Uses = *UsesH;
-    // Grouping scratch: the sorted view of the current chunk plus the
-    // probe/answer staging of the multi-query kernel.
-    std::vector<std::size_t> Order;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> Keyed;
-    std::vector<LiveCheck::PreparedProbe> Probes;
-    std::vector<std::uint8_t> RunAnswers;
-
-    // Sorted-by-(function, value, index) view of [Begin, End): the grouped
-    // path answers runs of same-value queries together; the ordering is
-    // deterministic and every answer still lands in its own slot.
-    std::vector<std::uint32_t> KeyCount;
-    auto sortSpan = [&](std::size_t Begin, std::size_t End) {
-      std::size_t Len = End - Begin;
-      if (Len * 4 >= KeySpace) {
-        // Stable counting sort over the dense (function, value) keys:
-        // three linear passes, and stability gives the index tiebreak for
-        // free. Worth the counter clear only when the span covers a fair
-        // share of the key space — big chunks, not 256-query ones.
-        KeyCount.assign(KeySpace + 1, 0);
-        for (std::size_t I = Begin; I != End; ++I)
-          ++KeyCount[KeyBase[Workload[I].FuncIndex] + Workload[I].ValueId];
-        std::uint32_t Running = 0;
-        for (std::uint32_t &C : KeyCount) {
-          std::uint32_t N = C;
-          C = Running;
-          Running += N;
-        }
-        Order.resize(Len);
-        for (std::size_t I = Begin; I != End; ++I)
-          Order[KeyCount[KeyBase[Workload[I].FuncIndex] +
-                         Workload[I].ValueId]++] = I;
-        return;
-      }
-      // Packed (FuncIndex << 32 | ValueId, index) keys sort without
-      // touching Workload in the comparator — default pair ordering gives
-      // the same (function, value, index) order, cache-friendlier.
-      Keyed.clear();
-      Keyed.reserve(Len);
-      for (std::size_t I = Begin; I != End; ++I)
-        Keyed.emplace_back((std::uint64_t(Workload[I].FuncIndex) << 32) |
-                               Workload[I].ValueId,
-                           I);
-      std::sort(Keyed.begin(), Keyed.end());
-      Order.clear();
-      Order.reserve(Keyed.size());
-      for (const auto &[Key, I] : Keyed)
-        Order.push_back(std::size_t(I));
-    };
-
-    // One query in arrival order — the block-id plane, the standalone
-    // baselines, and the GroupChunks=false differential path.
+    // One query, in arrival order, on whichever plane or backend is set.
     auto answerOne = [&](std::size_t I) {
       const BatchQuery &Q = Workload[I];
       assert(Q.FuncIndex < Funcs.size() && "query function out of range");
@@ -435,52 +332,6 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       Stats.PositiveAnswers += Answer;
     };
 
-    auto processSpan = [&](std::size_t Begin, std::size_t End) {
-      if (Grouped) {
-        // Locality grouping on the prepared plane: one cached variable and
-        // one multi-query kernel call per run of same-(function, value)
-        // queries. Sorting is chunk-local, so the amortization tracks the
-        // stream's actual locality.
-        sortSpan(Begin, End);
-        std::size_t K = 0;
-        while (K != Order.size()) {
-          const BatchQuery &Lead = Workload[Order[K]];
-          assert(Lead.FuncIndex < Funcs.size() &&
-                 "query function out of range");
-          std::size_t RunEnd = K + 1;
-          while (RunEnd != Order.size() &&
-                 Workload[Order[RunEnd]].FuncIndex == Lead.FuncIndex &&
-                 Workload[Order[RunEnd]].ValueId == Lead.ValueId)
-            ++RunEnd;
-          const Function &F = *Funcs[Lead.FuncIndex];
-          const Value &V = *F.value(Lead.ValueId);
-          if (queryableValue(V)) {
-            const LiveCheck &E = *Engines[Lead.FuncIndex];
-            const LiveCheck::PreparedVar &PV =
-                Prepared[Lead.FuncIndex]->cached(V);
-            std::size_t RunLen = RunEnd - K;
-            Probes.resize(RunLen);
-            RunAnswers.resize(RunLen);
-            for (std::size_t J = 0; J != RunLen; ++J) {
-              const BatchQuery &Q = Workload[Order[K + J]];
-              Probes[J].Block = Q.BlockId;
-              Probes[J].IsLiveOut = Q.IsLiveOut;
-            }
-            E.answerPreparedRun(PV, Probes.data(), RunLen,
-                                RunAnswers.data(), &Stats.Engine);
-            for (std::size_t J = 0; J != RunLen; ++J) {
-              Result.Answers[Order[K + J]] = RunAnswers[J];
-              Stats.PositiveAnswers += RunAnswers[J];
-            }
-          }
-          K = RunEnd;
-        }
-        return;
-      }
-      for (std::size_t I = Begin; I != End; ++I)
-        answerOne(I);
-    };
-
     // Drain the own queue first, then visit the other cursors round-robin.
     // Chunks are never re-added, so one pass over every cursor claims
     // everything.
@@ -493,7 +344,9 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
           break;
         ++Stats.ChunksClaimed;
         Stats.ChunksStolen += Victim != Worker;
-        processSpan(Ticket * Chunk, std::min((Ticket + 1) * Chunk, NumQueries));
+        std::size_t End = std::min((Ticket + 1) * Chunk, NumQueries);
+        for (std::size_t I = Ticket * Chunk; I != End; ++I)
+          answerOne(I);
       }
     }
     Result.PerThread[Worker] = Stats;
@@ -525,8 +378,6 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       static_cast<std::uint64_t>(Result.PrecomputeMillis * 1e6));
   T.QueryBatchNs.observe(
       static_cast<std::uint64_t>(Result.QueryMillis * 1e6));
-  if (ShardedFill)
-    T.ShardedFills.inc();
   if (UsesPreparedCache)
     publishPreparedTelemetry();
   return Result;

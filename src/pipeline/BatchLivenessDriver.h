@@ -8,14 +8,17 @@
 /// Executes a liveness-query workload over a whole module (set of functions)
 /// concurrently: per-function precomputation fans out across a thread pool,
 /// then the query stream is carved into chunks that workers claim through a
-/// work-stealing scheduler and answer against the shared read-only engines.
-/// Within a chunk, prepared-plane queries are grouped by (function, value)
-/// so one prepared variable and one multi-query kernel call serve a whole
-/// run of same-value queries. Answers land in a per-query slot, so the
-/// result is byte-identical for any thread count and any chunking — the
-/// amortization story of the
-/// paper (one CFG-only precomputation, unboundedly many queries) scaled from
-/// one function to a module under heavy query traffic.
+/// work-stealing scheduler and answer, one query at a time in arrival
+/// order, against the shared read-only engines. Answers land in a
+/// per-query slot, so the result is byte-identical for any thread count —
+/// the amortization story of the paper (one CFG-only precomputation,
+/// unboundedly many queries) scaled from one function to a module under
+/// heavy query traffic.
+///
+/// A query is a handful of bit tests, so there is nothing to amortize
+/// across queries: sorting chunks by (function, value) to share one
+/// prepared variable per run was measured end to end and lost on uniform
+/// and skewed streams alike (see README.md), and is not carried.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,32 +109,6 @@ struct BatchOptions {
   /// prepared plane is the production default; block-id re-derives the
   /// variable per query and serves as the differential oracle.
   QueryPlane Plane = QueryPlane::Prepared;
-  /// Sharded cold-fill gate (prepared plane, multi-worker pools only):
-  /// when the estimated number of workload queries whose values lack a
-  /// fresh prepared entry reaches this threshold, the ensure sweep fans
-  /// out across the pool by value-id stripe (PreparedCache::stripeOf) —
-  /// each worker owns whole stripes, so every build's arena traffic is
-  /// write-disjoint. Below the threshold the sweep stays sequential: warm
-  /// ensures are two epoch compares, and PR-5 measured the fan-out slower
-  /// than the warm sweep it replaces. Coldness is estimated from a strided
-  /// 1-in-64 sample of the workload, so the warm path pays ~1/64 of a
-  /// sweep, not a full pre-scan. 0 forces sharding (tests);
-  /// SIZE_MAX disables it.
-  std::size_t ColdFillShardThreshold = 4096;
-  /// Queries per work-stealing chunk; 0 picks adaptively from the workload
-  /// size (size / (workers * 8), clamped to [256, 4096]) so skewed
-  /// workloads leave enough chunks to rebalance while small batches stay
-  /// near one claim per worker. A chunk of at least ceil(size / workers)
-  /// gives each worker one contiguous span of the stream.
-  std::size_t ChunkSize = 0;
-  /// Group each chunk by (function, value) on the prepared plane so a run
-  /// of same-value queries is answered through one prepared variable and
-  /// one LiveCheck::answerPreparedRun multi-query call. On by default; off
-  /// reproduces per-query arrival order — the baseline bench_querymix
-  /// compares against, and a differential surface for the equivalence
-  /// suite. (The block-id plane and the non-LiveCheck baselines always run
-  /// arrival order: they are the independent oracles.)
-  bool GroupChunks = true;
 };
 
 /// Per-worker tallies; aggregation across workers is a fold, never a shared

@@ -15,10 +15,11 @@
 ///
 /// The class also exposes the word-level span primitives the query plane is
 /// built from: row union (the Definition-4/5 set recurrences), first-set-bit
-/// scanning from an index (the paper's `bitset_next_set`), and
-/// intersection-emptiness over a bit range with an optional excluded bit
-/// (the `R_t ∩ uses != ∅` test of Algorithm 1, and the Algorithm-2 line-8
-/// trivial-path exclusion, each as one masked word sweep).
+/// scanning from an index (the paper's `bitset_next_set`), a word-shifted
+/// range copy (the incremental repair's bit permutations), and
+/// intersection-emptiness with an optional excluded bit (the
+/// `R_t ∩ UseMask != ∅` test of Algorithm 1, and the Algorithm-2 line-8
+/// trivial-path exclusion, each as one word sweep).
 ///
 /// Kernel dispatch contract
 /// ------------------------
@@ -27,22 +28,16 @@
 ///   * `words...Portable` — the straight-line reference loop. Never
 ///     hand-tuned; this is the semantic definition of the predicate.
 ///   * `words...` (same name, no suffix) — the dispatching entry every call
-///     site uses. Internally it splits off the masked boundary/exclusion
-///     words, then sweeps the unmasked interior with an unrolled 4-word
-///     AND reduction (AVX2 `vpand`+`vptest` per 4 words when
-///     SSALIVE_SIMD_AVX2 is on, plain unrolled scalar otherwise), with
-///     set-bit extraction via `std::countr_zero` (tzcnt/ctzll).
+///     site uses. Internally it checks the exclusion word alone, then
+///     sweeps the flanking words with a plain unrolled 4-word reduction
+///     (portable scalar code; the compiler vectorizes it as the target
+///     allows).
 ///
 /// The two forms must agree bit-for-bit on *every* input — ragged tails,
-/// empty ranges, exclusion bit on a boundary word, exclusion bit outside the
-/// span — and tests/support/BitMatrixTest.cpp pins that equivalence on
-/// randomized rows. Change a dispatching entry and its portable twin
-/// together, or not at all.
-///
-/// SSALIVE_SIMD_AVX2 defaults to the compiler's `__AVX2__` (enable with the
-/// CMake option SSALIVE_ENABLE_AVX2 or any `-mavx2` build); it can be forced
-/// off with -DSSALIVE_SIMD_AVX2=0 to test the portable interior on AVX2
-/// hardware.
+/// empty spans, exclusion bit on any word, exclusion bit outside the span —
+/// and tests/support/BitMatrixTest.cpp pins that equivalence on randomized
+/// rows. Change a dispatching entry and its portable twin together, or not
+/// at all.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,17 +52,6 @@
 #include <cstdint>
 #include <cstring>
 #include <vector>
-
-#if !defined(SSALIVE_SIMD_AVX2)
-#if defined(__AVX2__)
-#define SSALIVE_SIMD_AVX2 1
-#else
-#define SSALIVE_SIMD_AVX2 0
-#endif
-#endif
-#if SSALIVE_SIMD_AVX2
-#include <immintrin.h>
-#endif
 
 namespace ssalive {
 
@@ -176,27 +160,15 @@ public:
     }
   }
 
-  /// Unmasked interior sweep: do words [\p From, \p To) of \p A and \p B
-  /// share a set bit? The unrolled/AVX2 core every dispatching range
-  /// predicate funnels its boundary-free middle through.
+  /// Unmasked sweep: do words [\p From, \p To) of \p A and \p B share a
+  /// set bit? The unrolled core wordsAnyCommon funnels its flanks through.
   static bool anyCommonWordSpan(const Word *A, const Word *B, unsigned From,
                                 unsigned To) {
     unsigned I = From;
-#if SSALIVE_SIMD_AVX2
-    for (; I + 4 <= To; I += 4) {
-      __m256i VA =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I));
-      __m256i VB =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I));
-      if (!_mm256_testz_si256(VA, VB))
-        return true;
-    }
-#else
     for (; I + 4 <= To; I += 4)
       if ((A[I] & B[I]) | (A[I + 1] & B[I + 1]) | (A[I + 2] & B[I + 2]) |
           (A[I + 3] & B[I + 3]))
         return true;
-#endif
     for (; I != To; ++I)
       if (A[I] & B[I])
         return true;
@@ -213,116 +185,6 @@ public:
       if (A[I])
         return true;
     return false;
-  }
-
-  /// Do spans \p A and \p B share a set bit within [\p Lo, \p Hi], ignoring
-  /// \p ExcludeBit (pass npos to exclude nothing)? Both spans must cover the
-  /// range. Portable reference loop — one masked word at a time.
-  static bool wordsAnyCommonInRangePortable(const Word *A, const Word *B,
-                                            unsigned Lo, unsigned Hi,
-                                            unsigned ExcludeBit = npos) {
-    if (Lo > Hi)
-      return false;
-    unsigned FirstWord = Lo / WordBits;
-    unsigned LastWord = Hi / WordBits;
-    for (unsigned I = FirstWord; I <= LastWord; ++I) {
-      Word W = A[I] & B[I];
-      if (I == FirstWord)
-        W &= ~Word(0) << (Lo % WordBits);
-      if (I == LastWord) {
-        unsigned Rem = Hi % WordBits;
-        if (Rem != WordBits - 1)
-          W &= (Word(1) << (Rem + 1)) - 1;
-      }
-      if (ExcludeBit != npos && ExcludeBit / WordBits == I)
-        W &= ~(Word(1) << (ExcludeBit % WordBits));
-      if (W)
-        return true;
-    }
-    return false;
-  }
-
-  /// Dispatching twin of wordsAnyCommonInRangePortable: masked boundary
-  /// words handled individually, unmasked interior through the unrolled
-  /// AND sweep.
-  static bool wordsAnyCommonInRange(const Word *A, const Word *B, unsigned Lo,
-                                    unsigned Hi,
-                                    unsigned ExcludeBit = npos) {
-    if (Lo > Hi)
-      return false;
-    unsigned FirstWord = Lo / WordBits;
-    unsigned LastWord = Hi / WordBits;
-    auto maskedWord = [&](unsigned I) {
-      Word W = A[I] & B[I];
-      if (I == FirstWord)
-        W &= ~Word(0) << (Lo % WordBits);
-      if (I == LastWord) {
-        unsigned Rem = Hi % WordBits;
-        if (Rem != WordBits - 1)
-          W &= (Word(1) << (Rem + 1)) - 1;
-      }
-      if (ExcludeBit != npos && ExcludeBit / WordBits == I)
-        W &= ~(Word(1) << (ExcludeBit % WordBits));
-      return W;
-    };
-    if (maskedWord(FirstWord))
-      return true;
-    if (FirstWord == LastWord)
-      return false;
-    unsigned Mid = FirstWord + 1;
-    if (ExcludeBit != npos) {
-      unsigned XWord = ExcludeBit / WordBits;
-      if (XWord >= Mid && XWord < LastWord) {
-        if (anyCommonWordSpan(A, B, Mid, XWord))
-          return true;
-        if (maskedWord(XWord))
-          return true;
-        Mid = XWord + 1;
-      }
-    }
-    if (anyCommonWordSpan(A, B, Mid, LastWord))
-      return true;
-    return maskedWord(LastWord) != 0;
-  }
-
-  /// First bit set in both \p A and \p B within [\p Lo, \p Hi] ignoring
-  /// \p ExcludeBit, or npos. Same masking rules as wordsAnyCommonInRange;
-  /// the exact index is extracted from the first non-empty AND word with
-  /// `std::countr_zero`.
-  static unsigned wordsFirstCommonInRange(const Word *A, const Word *B,
-                                          unsigned Lo, unsigned Hi,
-                                          unsigned ExcludeBit = npos) {
-    if (Lo > Hi)
-      return npos;
-    unsigned FirstWord = Lo / WordBits;
-    unsigned LastWord = Hi / WordBits;
-    for (unsigned I = FirstWord; I <= LastWord; ++I) {
-      Word W = A[I] & B[I];
-      if (I == FirstWord)
-        W &= ~Word(0) << (Lo % WordBits);
-      if (I == LastWord) {
-        unsigned Rem = Hi % WordBits;
-        if (Rem != WordBits - 1)
-          W &= (Word(1) << (Rem + 1)) - 1;
-      }
-      if (ExcludeBit != npos && ExcludeBit / WordBits == I)
-        W &= ~(Word(1) << (ExcludeBit % WordBits));
-      if (W)
-        return I * WordBits + unsigned(std::countr_zero(W));
-    }
-    return npos;
-  }
-
-  /// Portable twin of wordsFirstCommonInRange: per-bit probe loop.
-  static unsigned wordsFirstCommonInRangePortable(const Word *A, const Word *B,
-                                                  unsigned Lo, unsigned Hi,
-                                                  unsigned ExcludeBit = npos) {
-    if (Lo > Hi)
-      return npos;
-    for (unsigned Bit = Lo; Bit <= Hi; ++Bit)
-      if (Bit != ExcludeBit && testBit(A, Bit) && testBit(B, Bit))
-        return Bit;
-    return npos;
   }
 
   /// ORs bits [\p SLo, \p SHi] (inclusive) of span \p Src into span \p Dst
@@ -348,25 +210,6 @@ public:
       SPos += Chunk;
       DPos += Chunk;
       Remaining -= Chunk;
-    }
-  }
-
-  /// Clears every bit of span \p W inside [\p Lo, \p Hi] (inclusive).
-  static void wordsClearRange(Word *W, unsigned Lo, unsigned Hi) {
-    if (Lo > Hi)
-      return;
-    unsigned FirstWord = Lo / WordBits;
-    unsigned LastWord = Hi / WordBits;
-    for (unsigned I = FirstWord; I <= LastWord; ++I) {
-      Word Keep = 0;
-      if (I == FirstWord && Lo % WordBits != 0)
-        Keep |= (Word(1) << (Lo % WordBits)) - 1;
-      if (I == LastWord) {
-        unsigned Rem = Hi % WordBits;
-        if (Rem != WordBits - 1)
-          Keep |= ~Word(0) << (Rem + 1);
-      }
-      W[I] &= Keep;
     }
   }
 
@@ -426,62 +269,6 @@ public:
     return anyWordSpan(A, XWord + 1, NumWords);
   }
 
-  /// Is any of the \p N bit indices in \p Bits set in span \p W? The
-  /// multi-query kernel's "does this target row reach any use" probe for
-  /// nums-backed variables: unrolled 4-probe OR reduction, no per-probe
-  /// branch. Portable twin below.
-  static bool wordsAnyOfBits(const Word *W, const unsigned *Bits,
-                             std::size_t N) {
-    std::size_t I = 0;
-    for (; I + 4 <= N; I += 4) {
-      Word Acc = ((W[Bits[I] / WordBits] >> (Bits[I] % WordBits)) & 1) |
-                 ((W[Bits[I + 1] / WordBits] >> (Bits[I + 1] % WordBits)) & 1) |
-                 ((W[Bits[I + 2] / WordBits] >> (Bits[I + 2] % WordBits)) & 1) |
-                 ((W[Bits[I + 3] / WordBits] >> (Bits[I + 3] % WordBits)) & 1);
-      if (Acc)
-        return true;
-    }
-    for (; I != N; ++I)
-      if (testBit(W, Bits[I]))
-        return true;
-    return false;
-  }
-
-  /// Portable twin of wordsAnyOfBits.
-  static bool wordsAnyOfBitsPortable(const Word *W, const unsigned *Bits,
-                                     std::size_t N) {
-    for (std::size_t I = 0; I != N; ++I)
-      if (testBit(W, Bits[I]))
-        return true;
-    return false;
-  }
-
-  /// Multi-bit test-gather: Out[i] = bit Bits[i] of span \p W, one byte per
-  /// probe. Lets the multi-query kernel pull a whole run of per-block
-  /// answers out of one precomputed row (e.g. the GoodSelf row) without a
-  /// branch per probe. Unrolled by 4; portable twin below.
-  static void wordsTestGather(const Word *W, const unsigned *Bits,
-                              std::size_t N, std::uint8_t *Out) {
-    std::size_t I = 0;
-    for (; I + 4 <= N; I += 4) {
-      Out[I] = std::uint8_t((W[Bits[I] / WordBits] >> (Bits[I] % WordBits)) & 1);
-      Out[I + 1] =
-          std::uint8_t((W[Bits[I + 1] / WordBits] >> (Bits[I + 1] % WordBits)) & 1);
-      Out[I + 2] =
-          std::uint8_t((W[Bits[I + 2] / WordBits] >> (Bits[I + 2] % WordBits)) & 1);
-      Out[I + 3] =
-          std::uint8_t((W[Bits[I + 3] / WordBits] >> (Bits[I + 3] % WordBits)) & 1);
-    }
-    for (; I != N; ++I)
-      Out[I] = std::uint8_t(testBit(W, Bits[I]));
-  }
-
-  /// Portable twin of wordsTestGather.
-  static void wordsTestGatherPortable(const Word *W, const unsigned *Bits,
-                                      std::size_t N, std::uint8_t *Out) {
-    for (std::size_t I = 0; I != N; ++I)
-      Out[I] = std::uint8_t(testBit(W, Bits[I]));
-  }
   /// @}
 
 private:

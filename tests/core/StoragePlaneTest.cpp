@@ -8,8 +8,8 @@
 // modes and the subtree-skip / fast-path ablations must answer every query
 // identically through every entry point — the block-id wrappers, prepared
 // variables backed by a use span (sorted or raw: any order, duplicates
-// allowed) or a use mask, and whole-graph answerPreparedRun calls — and
-// all of them must match the brute-force oracle on random reducible and
+// allowed) or a use mask, each asked at every block — and all of them
+// must match the brute-force oracle on random reducible and
 // irreducible CFGs.
 //
 //===----------------------------------------------------------------------===//
@@ -91,14 +91,6 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
       Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, EOpts));
 
     auto Vars = placeVariables(G, DT, Rng, 10);
-    // One probe per block and direction: a whole-graph run, which takes
-    // answerPreparedRun's interval sweep once the graph has 4+ blocks.
-    std::vector<LiveCheck::PreparedProbe> Probes;
-    for (unsigned Q = 0; Q != N; ++Q) {
-      Probes.push_back({Q, /*IsLiveOut=*/false});
-      Probes.push_back({Q, /*IsLiveOut=*/true});
-    }
-    std::vector<std::uint8_t> Answers(Probes.size());
     BitVector Mask(N);
     for (const SyntheticVar &V : Vars) {
       // The prepared-plane inputs. RawNums keeps the translation order
@@ -156,18 +148,6 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
               << Ctx(Q, "prepared-mask");
           EXPECT_EQ(E->isLiveOutPrepared(PVMask, Q), WantOut[Q])
               << Ctx(Q, "prepared-mask");
-        }
-        for (auto [PV, Entry] :
-             {std::pair{&PVSpan, "run-span"}, std::pair{&PVRaw, "run-raw-span"},
-              std::pair{&PVMask, "run-mask"}}) {
-          E->answerPreparedRun(*PV, Probes.data(), Probes.size(),
-                               Answers.data());
-          for (std::size_t I = 0; I != Probes.size(); ++I) {
-            unsigned Q = Probes[I].Block;
-            bool Want = Probes[I].IsLiveOut ? WantOut[Q] : WantIn[Q];
-            EXPECT_EQ(Answers[I] != 0, Want)
-                << Ctx(Q, Entry) << (Probes[I].IsLiveOut ? " out" : " in");
-          }
         }
       }
     }

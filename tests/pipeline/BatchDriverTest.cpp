@@ -171,41 +171,24 @@ TEST(BatchDriver, PerThreadStatsCoverTheWholeWorkload) {
             std::uint64_t(Workload.size()))
       << "only no-use/no-def values skip the engine, and the generator "
          "never draws those";
-
-  // A chunk of ceil(size / workers) queries leaves one contiguous span per
-  // worker's queue: exactly one chunk per worker is claimed in total,
-  // whoever claims it, and the answers cannot change.
-  BatchOptions SpanOpts;
-  SpanOpts.Threads = 4;
-  SpanOpts.ChunkSize = (Workload.size() + 3) / 4;
-  BatchResult SR = BatchLivenessDriver(M.Funcs, SpanOpts).run(Workload);
-  ASSERT_EQ(SR.PerThread.size(), 4u);
-  std::uint64_t SpanChunks = 0, SpanQueries = 0;
-  for (const BatchThreadStats &S : SR.PerThread) {
-    SpanChunks += S.ChunksClaimed;
-    SpanQueries += S.Engine.LiveInQueries + S.Engine.LiveOutQueries;
-  }
-  EXPECT_EQ(SpanChunks, 4u) << "one whole-span chunk per worker queue";
-  EXPECT_EQ(SpanQueries, std::uint64_t(Workload.size()));
-  EXPECT_EQ(SR.Answers, R.Answers)
-      << "chunking must never change the answer bytes";
 }
 
-TEST(BatchDriver, ThreadCountsAndGroupingAreByteIdentical) {
+TEST(BatchDriver, ThreadCountsAndPlanesAreByteIdentical) {
   // The scheduler-equivalence suite: a skewed workload (hot values
-  // concentrating long same-value runs in a few chunks) and a uniform one,
-  // answered under every {1 thread, N threads} × {grouped, arrival} ×
-  // {block-id, prepared} combination — all byte-identical to the 1-thread
-  // arrival-order block-id oracle. Tiny chunks force multi-chunk queues so
-  // steals actually happen; this suite runs under TSan in CI, so the
-  // atomic chunk-cursor claiming is race-checked here, not just argued.
+  // repeated across many chunks) and a uniform one, answered under every
+  // {1 thread, N threads} × {block-id, prepared} combination — all
+  // byte-identical to the 1-thread block-id oracle. The adaptive chunk
+  // rule gives 33 chunks over 4 queues for both the 9000- and the
+  // 18000-query workload, so steals actually happen; this suite runs under
+  // TSan in CI, so the atomic chunk-cursor claiming is race-checked here,
+  // not just argued.
   Module M(6, 0x5C4ED);
   std::vector<BatchQuery> Uniform =
       BatchLivenessDriver::generateWorkload(M.Funcs, 0xD1CE, 9000);
   ASSERT_FALSE(Uniform.empty());
 
   // Skew: replay a handful of hot queries many times, then deterministic
-  // Fisher-Yates so the runs are scattered until grouping re-forms them.
+  // Fisher-Yates so the repeats are scattered over every chunk.
   std::vector<BatchQuery> Skewed = Uniform;
   for (unsigned I = 0; I != 9000; ++I)
     Skewed.push_back(Uniform[I % 11]);
@@ -217,24 +200,19 @@ TEST(BatchDriver, ThreadCountsAndGroupingAreByteIdentical) {
     BatchOptions Ref;
     Ref.Threads = 1;
     Ref.Plane = QueryPlane::BlockId;
-    Ref.GroupChunks = false;
     BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(*Workload);
     ASSERT_EQ(Oracle.Answers.size(), Workload->size());
 
     for (QueryPlane Plane : {QueryPlane::BlockId, QueryPlane::Prepared})
-      for (unsigned Threads : {1u, 4u})
-        for (bool Group : {false, true}) {
-          BatchOptions Opts;
-          Opts.Threads = Threads;
-          Opts.Plane = Plane;
-          Opts.GroupChunks = Group;
-          Opts.ChunkSize = 128; // Many chunks per worker → real steals.
-          BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(*Workload);
-          EXPECT_EQ(R.Answers, Oracle.Answers)
-              << "plane " << queryPlaneName(Plane) << ", " << Threads
-              << " threads" << (Group ? ", grouped" : ", arrival")
-              << " diverges from the 1-thread arrival-order oracle";
-        }
+      for (unsigned Threads : {1u, 4u}) {
+        BatchOptions Opts;
+        Opts.Threads = Threads;
+        Opts.Plane = Plane;
+        BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(*Workload);
+        EXPECT_EQ(R.Answers, Oracle.Answers)
+            << "plane " << queryPlaneName(Plane) << ", " << Threads
+            << " threads diverges from the 1-thread block-id oracle";
+      }
   }
 
   // The baselines ignore the plane but still ride the work-stealing
@@ -244,12 +222,10 @@ TEST(BatchDriver, ThreadCountsAndGroupingAreByteIdentical) {
     BatchOptions Ref;
     Ref.Backend = B;
     Ref.Threads = 1;
-    Ref.GroupChunks = false;
     BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(Skewed);
     BatchOptions Opts;
     Opts.Backend = B;
     Opts.Threads = 4;
-    Opts.ChunkSize = 128;
     BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(Skewed);
     EXPECT_EQ(R.Answers, Oracle.Answers)
         << "backend " << batchBackendName(B)
@@ -268,40 +244,4 @@ TEST(BatchDriver, WorkloadGenerationIsDeterministic) {
     EXPECT_EQ(A[I].BlockId, B[I].BlockId);
     EXPECT_EQ(A[I].IsLiveOut, B[I].IsLiveOut);
   }
-}
-
-TEST(BatchDriver, ShardedColdFillMatchesSequentialByteForByte) {
-  // The per-worker ensure sharding of the prepared plane: forcing the
-  // sharded cold fill (threshold 0) must produce answers byte-identical to
-  // the sequential sweep for every thread count, cold and warm — and this
-  // suite runs under TSan in CI, so the one-writer-per-stripe contract the
-  // fan-out builds on is race-checked here, not just argued.
-  Module M(8, 0xAB5);
-  std::vector<BatchQuery> Workload =
-      BatchLivenessDriver::generateWorkload(M.Funcs, 0x717, 24000);
-  ASSERT_FALSE(Workload.empty());
-
-  BatchOptions Seq;
-  Seq.Threads = 1;
-  BatchResult Reference = BatchLivenessDriver(M.Funcs, Seq).run(Workload);
-
-  for (unsigned Threads : {2u, 4u}) {
-    BatchOptions Opts;
-    Opts.Threads = Threads;
-    Opts.ColdFillShardThreshold = 0; // Force the sharded fill.
-    BatchLivenessDriver Driver(M.Funcs, Opts);
-    BatchResult Cold = Driver.run(Workload);
-    EXPECT_EQ(Cold.Answers, Reference.Answers)
-        << Threads << "-thread sharded cold fill diverges";
-    BatchResult Warm = Driver.run(Workload); // All ensures hit this time.
-    EXPECT_EQ(Warm.Answers, Reference.Answers)
-        << Threads << "-thread warm run after sharded fill diverges";
-  }
-
-  // The explicit off switch keeps the sequential sweep.
-  BatchOptions Disabled;
-  Disabled.Threads = 4;
-  Disabled.ColdFillShardThreshold = SIZE_MAX;
-  BatchResult R = BatchLivenessDriver(M.Funcs, Disabled).run(Workload);
-  EXPECT_EQ(R.Answers, Reference.Answers);
 }

@@ -13,10 +13,10 @@
 // numbering, cross-checked against Lengauer-Tarjan as a second opinion),
 // identical R/T set contents, and identical liveness answers under both T
 // modes, for the in-place row repatch and the full-recompute fallback
-// alike, through every query entry point (block-id spans, PreparedVar
-// over a use span or a use mask, and whole-graph answerPreparedRun
-// calls). On a mismatch the failing sequence is reported as a replayable
-// (seed, mode, step) triple.
+// alike, through every query entry point (block-id spans and PreparedVar
+// over a use span or a use mask, the span form at every block). On a
+// mismatch the failing sequence is reported as a replayable (seed, mode,
+// step) triple.
 //
 //===----------------------------------------------------------------------===//
 
@@ -122,14 +122,6 @@ bool compareEngines(const LiveCheck &Inc, const DomTree &IncDT,
                   << Fresh.numNodes();
     return false;
   }
-  // One probe per block and direction: whole-graph coverage through the
-  // interval sweep of answerPreparedRun, at word speed.
-  std::vector<LiveCheck::PreparedProbe> Probes;
-  for (unsigned Q = 0; Q != N; ++Q) {
-    Probes.push_back({Q, /*IsLiveOut=*/false});
-    Probes.push_back({Q, /*IsLiveOut=*/true});
-  }
-  std::vector<std::uint8_t> IncAns(Probes.size()), FreshAns(Probes.size());
   std::vector<unsigned> IncNums, FreshNums;
   BitVector IncMask(N), FreshMask(N);
   for (const VarSample &V : Vars) {
@@ -154,14 +146,17 @@ bool compareEngines(const LiveCheck &Inc, const DomTree &IncDT,
     IncPrepMask.setMask(IncMask);
     FreshPrepMask.setMask(FreshMask);
 
-    Inc.answerPreparedRun(IncPrep, Probes.data(), Probes.size(),
-                          IncAns.data());
-    Fresh.answerPreparedRun(FreshPrep, Probes.data(), Probes.size(),
-                            FreshAns.data());
-    if (IncAns != FreshAns) {
-      ADD_FAILURE() << Tag << ": whole-graph run mismatch, def=" << V.Def;
-      return false;
-    }
+    // Whole-graph coverage: one prepared query per block and direction
+    // on both engines.
+    for (unsigned Q = 0; Q != N; ++Q)
+      if (Inc.isLiveInPrepared(IncPrep, Q) !=
+              Fresh.isLiveInPrepared(FreshPrep, Q) ||
+          Inc.isLiveOutPrepared(IncPrep, Q) !=
+              Fresh.isLiveOutPrepared(FreshPrep, Q)) {
+        ADD_FAILURE() << Tag << ": whole-graph mismatch, def=" << V.Def
+                      << " q=" << Q;
+        return false;
+      }
 
     // Per-entry-point checks on sampled query blocks.
     for (unsigned Probe = 0; Probe != 12; ++Probe) {

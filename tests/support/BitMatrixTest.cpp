@@ -118,9 +118,9 @@ TEST(BitMatrix, WordsAnyExceptSkipsExactlyTheExcludedBit) {
   EXPECT_FALSE(BitMatrix::wordsAnyExcept(W.data(), 1, 0));
 }
 
-TEST(BitMatrix, AnyCommonInRangeAgainstNaive) {
-  // Randomized cross-check of the masked word sweep against a per-bit
-  // loop, covering word-boundary Lo/Hi and the excluded bit.
+TEST(BitMatrix, AnyCommonAgainstNaive) {
+  // Randomized cross-check of the word sweep against a per-bit loop,
+  // covering the excluded bit.
   RandomEngine Rng(0xB17);
   constexpr unsigned Bits = 180;
   for (unsigned Trial = 0; Trial != 200; ++Trial) {
@@ -136,32 +136,21 @@ TEST(BitMatrix, AnyCommonInRangeAgainstNaive) {
         BBits[I] = true;
       }
     }
-    unsigned Lo = Rng.nextBelow(Bits);
-    unsigned Hi = Lo + Rng.nextBelow(Bits - Lo);
     unsigned Exclude =
         Rng.nextBelow(2) ? Rng.nextBelow(Bits) : BitMatrix::npos;
-    bool Naive = false;
-    for (unsigned I = Lo; I <= Hi; ++I)
-      if (I != Exclude && ABits[I] && BBits[I])
-        Naive = true;
-    EXPECT_EQ(BitMatrix::wordsAnyCommonInRange(A.data(), B.data(), Lo, Hi,
-                                               Exclude),
-              Naive)
-        << "trial " << Trial << " lo " << Lo << " hi " << Hi << " excl "
-        << Exclude;
     bool NaiveFull = false;
     for (unsigned I = 0; I != Bits; ++I)
       if (I != Exclude && ABits[I] && BBits[I])
         NaiveFull = true;
     EXPECT_EQ(BitMatrix::wordsAnyCommon(A.data(), B.data(), 3, Exclude),
               NaiveFull)
-        << "trial " << Trial;
+        << "trial " << Trial << " excl " << Exclude;
   }
 }
 
 TEST(BitMatrix, DispatchMatchesPortableOnRandomSpans) {
   // The kernel dispatch contract (BitMatrix.h header): every dispatching
-  // sweep — masked boundary words plus the unrolled/AVX2 interior — must
+  // sweep — the exclusion word alone plus the unrolled flanks — must
   // agree bit-for-bit with its Portable twin. Randomized word counts keep
   // ragged tails (N % 4 != 0) and sub-unroll spans in play; exclusion bits
   // land on word boundaries as often as mid-word.
@@ -193,9 +182,6 @@ TEST(BitMatrix, DispatchMatchesPortableOnRandomSpans) {
       Exclude = 64 * Rng.nextBelow(NumWords) + 63; // Last bit of a word.
       break;
     }
-    unsigned Lo = Rng.nextBelow(Bits);
-    unsigned Hi = Lo + Rng.nextBelow(Bits - Lo);
-
     EXPECT_EQ(BitMatrix::wordsAnyCommon(A.data(), B.data(), NumWords, Exclude),
               BitMatrix::wordsAnyCommonPortable(A.data(), B.data(), NumWords,
                                                 Exclude))
@@ -203,45 +189,12 @@ TEST(BitMatrix, DispatchMatchesPortableOnRandomSpans) {
     EXPECT_EQ(BitMatrix::wordsAnyExcept(A.data(), NumWords, Exclude),
               BitMatrix::wordsAnyExceptPortable(A.data(), NumWords, Exclude))
         << "trial " << Trial << " words " << NumWords << " excl " << Exclude;
-    EXPECT_EQ(
-        BitMatrix::wordsAnyCommonInRange(A.data(), B.data(), Lo, Hi, Exclude),
-        BitMatrix::wordsAnyCommonInRangePortable(A.data(), B.data(), Lo, Hi,
-                                                 Exclude))
-        << "trial " << Trial << " lo " << Lo << " hi " << Hi << " excl "
-        << Exclude;
-    EXPECT_EQ(
-        BitMatrix::wordsFirstCommonInRange(A.data(), B.data(), Lo, Hi, Exclude),
-        BitMatrix::wordsFirstCommonInRangePortable(A.data(), B.data(), Lo, Hi,
-                                                   Exclude))
-        << "trial " << Trial << " lo " << Lo << " hi " << Hi << " excl "
-        << Exclude;
-
-    // Probe-list primitives: random index lists with duplicates and a
-    // ragged length (N % 4 != 0 in two thirds of the trials).
-    std::size_t N = Rng.nextBelow(23);
-    std::vector<unsigned> Probes(N);
-    for (unsigned &P : Probes)
-      P = Rng.nextBelow(Bits);
-    EXPECT_EQ(BitMatrix::wordsAnyOfBits(A.data(), Probes.data(), N),
-              BitMatrix::wordsAnyOfBitsPortable(A.data(), Probes.data(), N))
-        << "trial " << Trial << " probes " << N;
-    std::vector<std::uint8_t> Got(N, 0xCC), Want(N, 0xCC);
-    BitMatrix::wordsTestGather(A.data(), Probes.data(), N, Got.data());
-    BitMatrix::wordsTestGatherPortable(A.data(), Probes.data(), N,
-                                       Want.data());
-    EXPECT_EQ(Got, Want) << "trial " << Trial << " probes " << N;
   }
 
-  // Degenerate shapes the random draw cannot hit: empty ranges and
-  // zero-word spans.
+  // Degenerate shapes the random draw cannot hit: zero-word spans.
   std::vector<std::uint64_t> W = {~0ull};
-  EXPECT_FALSE(BitMatrix::wordsAnyCommonInRange(W.data(), W.data(), 5, 2));
-  EXPECT_EQ(BitMatrix::wordsFirstCommonInRange(W.data(), W.data(), 5, 2),
-            BitMatrix::npos);
   EXPECT_FALSE(BitMatrix::wordsAnyCommon(W.data(), W.data(), 0));
   EXPECT_FALSE(BitMatrix::wordsAnyExcept(W.data(), 0));
-  EXPECT_FALSE(BitMatrix::wordsAnyOfBits(W.data(), nullptr, 0));
-  BitMatrix::wordsTestGather(W.data(), nullptr, 0, nullptr);
 }
 
 TEST(BitMatrix, ResizeClearsAndClearReleases) {

@@ -27,8 +27,8 @@
 //     --generate=N    ignore input file, synthesize N SPEC-profile
 //                     functions (default when no file is given: 64)
 //     --verify        cross-check the parallel answers against a
-//                     single-threaded run, a single-threaded arrival-order
-//                     run, and (prepared plane) the block-id plane
+//                     single-threaded run and (prepared plane) the
+//                     block-id plane
 //     --verify-all    additionally demand every other backend agrees on
 //                     the whole workload
 //     --expect-checksum=HEX
@@ -260,24 +260,6 @@ int main(int Argc, char **Argv) {
       std::printf("  verify: %u-thread answers identical to "
                   "single-threaded reference\n",
                   Driver.numThreads());
-    }
-
-    // Grouping differential: work-stealing with locality-grouped chunks
-    // must answer byte-identically to one thread in per-query arrival
-    // order — the ungrouped path kept as an in-tool oracle.
-    {
-      BatchOptions AOpts = SOpts;
-      AOpts.GroupChunks = false;
-      BatchLivenessDriver Arrival(Funcs, AOpts);
-      BatchResult ArrivalRef = Arrival.run(Workload);
-      if (ArrivalRef.Answers != Last.Answers) {
-        std::fprintf(stderr, "FAIL: grouped answers differ from the "
-                             "single-threaded arrival-order run\n");
-        Failed = true;
-      } else {
-        std::printf("  verify: answers identical in single-threaded "
-                    "arrival order\n");
-      }
     }
 
     // Plane differential: the cached prepared plane must answer
