@@ -114,10 +114,9 @@ struct TierResult {
 TierResult runTier(unsigned Blocks, unsigned Edits, unsigned Reps,
                    bool &AnswersAgree) {
   using Clock = std::chrono::steady_clock;
-  // Per-edit minima across identical replayed passes — the interleaved
-  // best-of protocol bench_storage established for this noisy 1-core
-  // container, adapted to a stateful edit stream: the whole deterministic
-  // edit sequence is replayed from scratch each pass.
+  // Per-edit minima across identical replayed passes, an interleaved
+  // best-of protocol against host noise: the whole deterministic edit
+  // sequence is replayed from scratch each pass.
   std::vector<double> RefreshBest, RebuildBest;
   std::vector<bool> IsLoopEdit;
   TierResult R;

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Lazy, epoch-validated caching of the CFG-derived analyses (DFS, dominator
-/// tree, loop forest, LiveCheck engine) per function. The cache key is the
+/// tree, LiveCheck engine) per function. The cache key is the
 /// function's CFG modification epoch (Function::cfgVersion): structural
 /// edits invalidate exactly the edited function's analyses, while
 /// instruction/value edits invalidate nothing — the paper's Section 7
@@ -21,7 +21,6 @@
 
 #include "analysis/DFS.h"
 #include "analysis/DomTree.h"
-#include "analysis/LoopForest.h"
 #include "core/LiveCheck.h"
 #include "ir/CFG.h"
 
@@ -59,7 +58,6 @@ public:
   const CFG &cfg();
   const DFS &dfs();
   const DomTree &domTree();
-  const LoopForest &loopForest();
   const LiveCheck &liveCheck();
   /// @}
 
@@ -67,12 +65,12 @@ public:
   /// the journaled edits \p [B, E) against whatever analyses are already
   /// materialized: the cached CFG mirror absorbs the deltas, the DFS
   /// repairs or recomputes itself in place, the DomTree takes its scoped
-  /// repair, the LiveCheck engine repatches its R/T rows, and the loop
-  /// forest is dropped for lazy rebuild. Not-yet-built analyses stay
-  /// unbuilt. Any delta batch from the owning function's journal is
-  /// applicable — each repair layer carries its own full-recompute
-  /// fallback — so this cannot fail; the caller-side rebuild fallback
-  /// exists for journal gaps, which are detected before calling this.
+  /// repair, and the LiveCheck engine repatches its R/T rows.
+  /// Not-yet-built analyses stay unbuilt. Any delta batch from the owning
+  /// function's journal is applicable — each repair layer carries its own
+  /// full-recompute fallback — so this cannot fail; the caller-side
+  /// rebuild fallback exists for journal gaps, which are detected before
+  /// calling this.
   /// The usual phase discipline applies: no concurrent queries while
   /// refreshing.
   void applyDeltas(const CFGDelta *B, const CFGDelta *E);
@@ -91,7 +89,6 @@ private:
   std::unique_ptr<CFG> Graph;
   std::unique_ptr<DFS> Dfs;
   std::unique_ptr<DomTree> Tree;
-  std::unique_ptr<LoopForest> Loops;
   std::unique_ptr<LiveCheck> Engine;
 };
 
@@ -141,9 +138,6 @@ public:
   const CFG &cfg(const Function &F) { return get(F).cfg(); }
   const DFS &dfs(const Function &F) { return get(F).dfs(); }
   const DomTree &domTree(const Function &F) { return get(F).domTree(); }
-  const LoopForest &loopForest(const Function &F) {
-    return get(F).loopForest();
-  }
   const LiveCheck &liveCheck(const Function &F) { return get(F).liveCheck(); }
   /// @}
 

@@ -136,9 +136,11 @@ struct BatchResult {
   double QueryMillis = 0;
 
   std::uint64_t numQueries() const { return Answers.size(); }
+  /// End-to-end throughput of the run: both phases, so the prepared
+  /// plane's ensure sweep (timed in PrecomputeMillis) counts against it.
   double queriesPerSecond() const {
-    return QueryMillis > 0 ? double(Answers.size()) / (QueryMillis / 1e3)
-                           : 0;
+    double Millis = PrecomputeMillis + QueryMillis;
+    return Millis > 0 ? double(Answers.size()) / (Millis / 1e3) : 0;
   }
   /// Order-sensitive 64-bit digest of the answer vector (position-mixed,
   /// so it distinguishes permutations of the same multiset).
