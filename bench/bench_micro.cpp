@@ -88,22 +88,11 @@ void BM_PrecomputePropagated(benchmark::State &State) {
   DFS D(G);
   DomTree DT(G, D);
   for (auto _ : State) {
-    LiveCheck Engine(G, D, DT, {TMode::Propagated, true, true});
+    LiveCheck Engine(G, D, DT);
     benchmark::DoNotOptimize(Engine.memoryBytes());
   }
 }
 BENCHMARK(BM_PrecomputePropagated);
-
-void BM_PrecomputeFiltered(benchmark::State &State) {
-  CFG G = CFG::fromFunction(averageProcedure());
-  DFS D(G);
-  DomTree DT(G, D);
-  for (auto _ : State) {
-    LiveCheck Engine(G, D, DT, {TMode::Filtered, true, true});
-    benchmark::DoNotOptimize(Engine.memoryBytes());
-  }
-}
-BENCHMARK(BM_PrecomputeFiltered);
 
 void BM_PrecomputeDataflowPhiOnly(benchmark::State &State) {
   const Function &F = averageProcedure();

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Ablation C (DESIGN.md): the quadratic behaviour the paper discusses in
+// Ablation C: the quadratic behaviour the paper discusses in
 // Sections 6.1 and 8. Sweeps the block count and reports, per size:
 // precomputation cycles for both approaches, R/T memory versus the
 // sorted-array native memory, and the memory break-even the paper derives

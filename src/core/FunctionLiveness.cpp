@@ -12,9 +12,9 @@ using namespace ssalive;
 
 LivenessQueries::~LivenessQueries() = default;
 
-FunctionLiveness::FunctionLiveness(const Function &F, LiveCheckOptions Opts)
+FunctionLiveness::FunctionLiveness(const Function &F)
     : F(F), Graph(CFG::fromFunction(F)), Dfs(Graph), Tree(Graph, Dfs),
-      Engine(Graph, Dfs, Tree, Opts), Cache(F, Engine, Tree),
+      Engine(Graph, Dfs, Tree), Cache(F, Engine, Tree),
       BuiltEpoch(F.cfgVersion()) {}
 
 bool FunctionLiveness::isLiveIn(const Value &V, const BasicBlock &B) {

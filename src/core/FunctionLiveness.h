@@ -39,7 +39,7 @@ namespace ssalive {
 /// The paper's "New" backend over an IR function.
 class FunctionLiveness : public LivenessQueries {
 public:
-  explicit FunctionLiveness(const Function &F, LiveCheckOptions Opts = {});
+  explicit FunctionLiveness(const Function &F);
 
   bool isLiveIn(const Value &V, const BasicBlock &B) override;
   bool isLiveOut(const Value &V, const BasicBlock &B) override;

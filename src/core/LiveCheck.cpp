@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Soundness note on TMode::Propagated (referenced from LiveCheck.h):
+// Soundness note on the propagated T sets (referenced from LiveCheck.h):
 //
 // Definition 5 builds T_q from chains q -> t1 -> t2 -> ... where each link
 // t_{i+1} ∈ T↑_{t_i} requires (a) a back edge (s,t_{i+1}) with s reduced
@@ -20,7 +20,10 @@
 // the propagated supersets answer every query identically; the tests verify
 // this equivalence exhaustively on random CFGs. What the supersets do break
 // is Lemma 3 (elements of T_q need not be totally ordered by dominance), so
-// the Theorem-2 single-test fast path demands TMode::Filtered.
+// Theorem 2's single-test fast path would be unsound on them. It would also
+// save nothing on exact sets: on a reducible CFG those form one dominance
+// chain, and the subtree skip past the first failed target ends the scan
+// at the same point.
 //
 // Implementation note on the arenas: R and T are computed and queried in
 // the BitMatrix arenas (the recurrences are linear sweeps over contiguous
@@ -31,7 +34,6 @@
 
 #include "core/LiveCheck.h"
 
-#include "analysis/Reducibility.h"
 #include "support/Debug.h"
 #include "support/Pool.h"
 #include "support/Telemetry.h"
@@ -137,7 +139,7 @@ template <class T> void releaseStorage(T &C) { C = T(); }
 // Scan kernels
 //===----------------------------------------------------------------------===//
 
-template <bool Skip, bool FP, class Uses>
+template <bool Skip, class Uses>
 bool LiveCheck::scanImpl(const LiveCheck &LC, unsigned DefNum,
                          unsigned MaxDom, unsigned QNum, Uses U,
                          bool ExcludeTrivialQ, LiveCheckStats *Sink) {
@@ -146,13 +148,6 @@ bool LiveCheck::scanImpl(const LiveCheck &LC, unsigned DefNum,
   // upwards visits "more dominating" targets first (Section 5.1 item 2).
   // The row pointer is resolved once and the word scan is clamped to the
   // interval, so a scan never reads past bit MaxDom.
-  //
-  // FP compiles in Theorem 2: on reducible CFGs with exact Definition-5
-  // sets, the most dominating target decides the query alone. One
-  // refinement: the trivial-path exclusion can suppress the q-use at
-  // t = q, in which case a *less* dominating target could still certify a
-  // non-trivial path, so the fast path only applies when nothing was
-  // excluded.
   const std::uint64_t *TRow = LC.TMat.row(QNum);
   unsigned Limit = MaxDom + 1;
   unsigned WordLen = (Limit + BitMatrix::WordBits - 1) / BitMatrix::WordBits;
@@ -164,54 +159,42 @@ bool LiveCheck::scanImpl(const LiveCheck &LC, unsigned DefNum,
       ++Sink->TargetsVisited;
     if (U.test(LC.RMat.row(TNum), TNum, QNum, ExcludeTrivialQ, Sink))
       return true;
-    if constexpr (FP)
-      if (!(ExcludeTrivialQ && TNum == QNum))
-        return false;
     TNum = BitMatrix::wordsFindNextSet(
         TRow, WordLen, Skip ? LC.MaxNumByNum[TNum] + 1 : TNum + 1, Limit);
   }
   return false;
 }
 
-template <bool Skip, bool FP>
+template <bool Skip>
 bool LiveCheck::numSpanKernel(const LiveCheck &LC, unsigned DefNum,
                               unsigned MaxDom, unsigned QNum,
                               const unsigned *Begin, const unsigned *End,
                               bool ExcludeTrivialQ, LiveCheckStats *Sink) {
-  return scanImpl<Skip, FP>(LC, DefNum, MaxDom, QNum,
-                            NumUses{Begin, End, LC.BackTargetByNum.data()},
-                            ExcludeTrivialQ, Sink);
+  return scanImpl<Skip>(LC, DefNum, MaxDom, QNum,
+                        NumUses{Begin, End, LC.BackTargetByNum.data()},
+                        ExcludeTrivialQ, Sink);
 }
 
-template <bool Skip, bool FP>
+template <bool Skip>
 bool LiveCheck::maskKernel(const LiveCheck &LC, unsigned DefNum,
                            unsigned MaxDom, unsigned QNum,
                            const std::uint64_t *MaskWords,
                            unsigned MaskNumWords, bool ExcludeTrivialQ,
                            LiveCheckStats *Sink) {
-  return scanImpl<Skip, FP>(LC, DefNum, MaxDom, QNum,
-                            MaskUses{MaskWords, MaskNumWords,
-                                     LC.BackTargetByNum.data()},
-                            ExcludeTrivialQ, Sink);
-}
-
-template <bool Skip> void LiveCheck::bindKernelsSkip() {
-  if (FastPath)
-    bindKernelsFull<Skip, true>();
-  else
-    bindKernelsFull<Skip, false>();
-}
-
-template <bool Skip, bool FP> void LiveCheck::bindKernelsFull() {
-  NumScan = &LiveCheck::numSpanKernel<Skip, FP>;
-  MaskScan = &LiveCheck::maskKernel<Skip, FP>;
+  return scanImpl<Skip>(LC, DefNum, MaxDom, QNum,
+                        MaskUses{MaskWords, MaskNumWords,
+                                 LC.BackTargetByNum.data()},
+                        ExcludeTrivialQ, Sink);
 }
 
 void LiveCheck::bindKernels() {
-  if (Opts.SubtreeSkip)
-    bindKernelsSkip<true>();
-  else
-    bindKernelsSkip<false>();
+  if (Opts.SubtreeSkip) {
+    NumScan = &LiveCheck::numSpanKernel<true>;
+    MaskScan = &LiveCheck::maskKernel<true>;
+  } else {
+    NumScan = &LiveCheck::numSpanKernel<false>;
+    MaskScan = &LiveCheck::maskKernel<false>;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -246,15 +229,7 @@ void LiveCheck::computeAll() {
   }
 
   computeR();
-  if (Opts.Mode == TMode::Propagated)
-    computeTPropagated();
-  else
-    computeTFiltered();
-
-  FastPath = false;
-  if (Opts.ReducibleFastPath && Opts.Mode == TMode::Filtered)
-    FastPath = analyzeReducibility(D, DT).Reducible;
-
+  computeT();
   bindKernels();
   captureSnapshots();
 
@@ -410,32 +385,12 @@ void LiveCheck::propagateT(const std::vector<BitVector> &AtSource) {
     TMat.set(Num, Num);
 }
 
-void LiveCheck::computeTPropagated() {
+void LiveCheck::computeT() {
   // The target sets and source unions go into the retained members: the
   // incremental update dirty-tracks against exactly this state.
   computeTargetSets(UpdTargetT);
   computeAtSource(UpdTargetT, UpdAtSource);
   propagateT(UpdAtSource);
-}
-
-void LiveCheck::computeTFiltered() {
-  computeTargetSets(UpdTargetT);
-
-  // Definition 5 verbatim at every node: the first chain link also applies
-  // the t' ∉ R_q filter.
-  const auto &BackEdges = D.backEdges();
-  for (unsigned Q = 0; Q != NumNodes; ++Q) {
-    unsigned QNum = DT.num(Q);
-    const BitMatrix::Word *R = RMat.row(QNum);
-    TMat.set(QNum, QNum);
-    for (auto [S, Tgt] : BackEdges) {
-      if (!BitMatrix::testBit(R, DT.num(S)))
-        continue;
-      if (BitMatrix::testBit(R, DT.num(Tgt)))
-        continue;
-      TMat.orRowWith(QNum, UpdTargetT[Tgt]);
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -475,10 +430,8 @@ void LiveCheck::captureSnapshots() {
     releaseStorage(SelfInPropNode);
     return;
   }
+  // The T-input members were already filled by computeT().
   captureCoordSnapshots();
-  // The T-input members were already filled by the compute pass
-  // (computeTPropagated/computeTFiltered route through them); for the
-  // Propagated mode the AtSource rows exist, for Filtered only TargetT.
 }
 
 bool LiveCheck::permuteInterval(unsigned Lo, unsigned Hi) {
@@ -749,9 +702,9 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
   // a grown target gains exactly it, and every T row reaching a changed
   // source gains exactly it. Three subset-checked union sweeps replace
   // the whole generic repair. ---
-  if (Opts.Mode == TMode::Propagated && SeedR.empty() &&
-      PLo == BitVector::npos && OnlyOld.empty() && OnlyNew.size() == 1 &&
-      DE - DB == 1 && DB->K == CFGDelta::Kind::EdgeInsert) {
+  if (SeedR.empty() && PLo == BitVector::npos && OnlyOld.empty() &&
+      OnlyNew.size() == 1 && DE - DB == 1 &&
+      DB->K == CFGDelta::Kind::EdgeInsert) {
     const unsigned U = DB->From, V = DB->To;
     TargetContrib.resize(N);
     // Ensure v's own Definition-5 set. If v already was a target, the
@@ -898,8 +851,7 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
     }
   }
 
-  if (Opts.Mode == TMode::Propagated && (TargetDirty.any() ||
-                                         AnyBackChange)) {
+  if (TargetDirty.any() || AnyBackChange) {
     // Sources to refresh: those incident to a back-edge toggle or
     // feeding a dirty target set. Changed unions become T seeds.
     auto SrcNeedH = pool::scratchBitset(N);
@@ -927,14 +879,6 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
       if (OldSet != Row)
         addSeedT(S);
     }
-  } else if (Opts.Mode == TMode::Filtered) {
-    // Filtered rows consume the target sets directly, gated per back edge
-    // by the querying row's R bits: a changed target set re-seeds every
-    // source that can deliver it.
-    if (TargetDirty.any())
-      for (auto [S, Tgt] : NewBE)
-        if (TargetDirty.test(Tgt))
-          addSeedT(S);
   }
 
   // --- T repair. ---
@@ -947,9 +891,8 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
   // Worth it only while few source unions changed: with long T↑ chains
   // the per-source broadcasts overlap heavily and the compare-bounded
   // ripple below is cheaper.
-  bool PureGrowth = Opts.Mode == TMode::Propagated && SeedR.empty() &&
-                    PLo == BitVector::npos && OnlyOld.empty() &&
-                    SeedT.size() <= 4;
+  bool PureGrowth = SeedR.empty() && PLo == BitVector::npos &&
+                    OnlyOld.empty() && SeedT.size() <= 4;
   for (const CFGDelta *Dp = DB; PureGrowth && Dp != DE; ++Dp)
     PureGrowth = Dp->K == CFGDelta::Kind::EdgeInsert;
   if (PureGrowth) {
@@ -967,98 +910,56 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
         ++UStats.TRowsRepatched;
       }
     }
-  } else if (Opts.Mode == TMode::Propagated) {
+  } else {
     // Same exact dirty propagation as R: the propagated recurrence is
     // prop_v = AtSource[v] ∪ ⋃ prop_succ over reduced successors, so a
     // row needs recomputing only when its own AtSource changed, its
     // reduced out-edges changed, or a successor's prop genuinely changed.
     auto DirtyTH = pool::scratchBitset(N);
     BitVector &DirtyT = *DirtyTH;
-    {
-      for (unsigned V : D.postorderSequence()) {
-        const unsigned *RB = D.reducedBegin(V), *RE = D.reducedEnd(V);
-        bool Need = SeedTSet.test(V);
-        for (const unsigned *S = RB; !Need && S != RE; ++S)
-          Need = DirtyT.test(*S);
-        if (!Need)
-          continue;
-        unsigned VNum = DT.num(V);
-        BitMatrix::Word *Row = TMat.row(VNum);
-        std::memcpy(OldRow.data(), Row, Stride * sizeof(BitMatrix::Word));
-        std::memset(Row, 0, Stride * sizeof(BitMatrix::Word));
-        if (!UpdAtSource[V].empty())
-          TMat.orRowWith(VNum, UpdAtSource[V]);
-        for (const unsigned *SP = RB; SP != RE; ++SP) {
-          unsigned S = *SP;
-          unsigned SNum = DT.num(S);
-          // A stored successor row is prop ∪ {self}; subtract the self
-          // bit unless the successor genuinely propagates itself, and
-          // unless the bit was already present from earlier
-          // contributions.
-          bool Had = BitMatrix::testBit(Row, SNum);
-          TMat.unionRows(VNum, SNum);
-          if (!SelfInPropNode.test(S) && !Had)
-            Row[SNum / BitMatrix::WordBits] &=
-                ~(BitMatrix::Word(1) << (SNum % BitMatrix::WordBits));
-        }
-        bool OldSelf = SelfInPropNode.test(V);
-        bool NewSelf = BitMatrix::testBit(Row, VNum);
-        if (NewSelf)
-          SelfInPropNode.set(V);
-        else
-          SelfInPropNode.reset(V);
-        TMat.set(VNum, VNum);
-        ++UStats.TRowsRepatched;
-        // Dirty means the row's *contribution* to predecessors changed:
-        // either the stored bits, or the self-membership flag that decides
-        // whether the forced self bit is part of the propagated content.
-        if (OldSelf != NewSelf ||
-            std::memcmp(Row, OldRow.data(),
-                        Stride * sizeof(BitMatrix::Word)) != 0)
-          DirtyT.set(V);
-      }
-    }
-  } else {
-    // Filtered rows have no inter-row recurrence: recompute exactly the
-    // rows whose R content changed (DirtyR) or that can see a changed
-    // back edge / changed target set (an R-column probe per seed; a node
-    // whose *old* reach differed from its new reach has a changed R row
-    // and is caught by DirtyR).
-    for (unsigned V = 0; V != N; ++V) {
-      unsigned VNum = DT.num(V);
-      bool Need = DirtyR.test(V);
-      if (!Need) {
-        const BitMatrix::Word *R = RMat.row(VNum);
-        for (unsigned S : SeedT)
-          if (BitMatrix::testBit(R, DT.num(S))) {
-            Need = true;
-            break;
-          }
-      }
+    for (unsigned V : D.postorderSequence()) {
+      const unsigned *RB = D.reducedBegin(V), *RE = D.reducedEnd(V);
+      bool Need = SeedTSet.test(V);
+      for (const unsigned *S = RB; !Need && S != RE; ++S)
+        Need = DirtyT.test(*S);
       if (!Need)
         continue;
-      std::memset(TMat.row(VNum), 0, Stride * sizeof(BitMatrix::Word));
-      TMat.set(VNum, VNum);
-      const BitMatrix::Word *R = RMat.row(VNum);
-      for (auto [S, Tgt] : D.backEdges()) {
-        if (!BitMatrix::testBit(R, DT.num(S)))
-          continue;
-        if (BitMatrix::testBit(R, DT.num(Tgt)))
-          continue;
-        TMat.orRowWith(VNum, UpdTargetT[Tgt]);
+      unsigned VNum = DT.num(V);
+      BitMatrix::Word *Row = TMat.row(VNum);
+      std::memcpy(OldRow.data(), Row, Stride * sizeof(BitMatrix::Word));
+      std::memset(Row, 0, Stride * sizeof(BitMatrix::Word));
+      if (!UpdAtSource[V].empty())
+        TMat.orRowWith(VNum, UpdAtSource[V]);
+      for (const unsigned *SP = RB; SP != RE; ++SP) {
+        unsigned S = *SP;
+        unsigned SNum = DT.num(S);
+        // A stored successor row is prop ∪ {self}; subtract the self
+        // bit unless the successor genuinely propagates itself, and
+        // unless the bit was already present from earlier
+        // contributions.
+        bool Had = BitMatrix::testBit(Row, SNum);
+        TMat.unionRows(VNum, SNum);
+        if (!SelfInPropNode.test(S) && !Had)
+          Row[SNum / BitMatrix::WordBits] &=
+              ~(BitMatrix::Word(1) << (SNum % BitMatrix::WordBits));
       }
+      bool OldSelf = SelfInPropNode.test(V);
+      bool NewSelf = BitMatrix::testBit(Row, VNum);
+      if (NewSelf)
+        SelfInPropNode.set(V);
+      else
+        SelfInPropNode.reset(V);
+      TMat.set(VNum, VNum);
       ++UStats.TRowsRepatched;
+      // Dirty means the row's *contribution* to predecessors changed:
+      // either the stored bits, or the self-membership flag that decides
+      // whether the forced self bit is part of the propagated content.
+      if (OldSelf != NewSelf ||
+          std::memcmp(Row, OldRow.data(),
+                      Stride * sizeof(BitMatrix::Word)) != 0)
+        DirtyT.set(V);
     }
   }
-
-  // --- Fast path and kernels: reducibility can flip with the back-edge
-  // set; rebinding is one switch. ---
-  bool OldFastPath = FastPath;
-  FastPath = false;
-  if (Opts.ReducibleFastPath && Opts.Mode == TMode::Filtered)
-    FastPath = analyzeReducibility(D, DT).Reducible;
-  if (FastPath != OldFastPath)
-    bindKernels();
 
   // Refresh the snapshot: the retained T inputs are already current (the
   // dirty tracking repaired them in place); only the coordinate system

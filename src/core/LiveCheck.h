@@ -35,11 +35,15 @@
 /// preorder numbers — was measured against this layout and lost on both
 /// axes at every size (see README.md), so it is not carried.
 ///
-/// The scan loop is not branched per query: the constructor binds
-/// function-pointer kernels specialized (by template instantiation) for
-/// the subtree-skip and fast-path settings, so `Opts.SubtreeSkip`/
-/// `Opts.ReducibleFastPath` are consulted exactly once. Both stay
-/// switchable as the paper's own ablations (Section 5.1 item 2, Theorem 2).
+/// T is built one way, Section 5.2's propagated scheme (see the soundness
+/// note in LiveCheck.cpp). The scan loop is not branched per query: the
+/// constructor binds function-pointer kernels specialized (by template
+/// instantiation) for `Opts.SubtreeSkip`, consulted exactly once and kept
+/// switchable as the paper's ablation (Section 5.1 item 2). Theorem 2's
+/// single-test fast path is not carried: with exact Definition-5 sets on a
+/// reducible CFG the surviving targets form one dominance chain (Lemma 3),
+/// so after the first failed target the subtree skip jumps past every
+/// remaining one and the scan ends where the fast path would have stopped.
 ///
 /// ## The query plane
 ///
@@ -71,32 +75,11 @@
 
 namespace ssalive {
 
-/// How the T sets are precomputed.
-enum class TMode {
-  /// The practical two-pass scheme of Section 5.2: exact Definition-5 sets
-  /// for back-edge targets (Equation 1, in DFS preorder per Theorem 3),
-  /// then back-edge-source unions propagated through the reduced graph.
-  /// The resulting sets are supersets of Definition 5 — the `t' ∉ R_q`
-  /// filter is not applied at the first chain link — which is sound
-  /// because queries only run when def(a) strictly dominates q (see the
-  /// soundness note in LiveCheck.cpp), but it voids Lemma 3's total
-  /// dominance order, so the reducible single-test fast path stays off.
-  Propagated,
-  /// Exact Definition 5 at every node: slightly costlier precomputation,
-  /// but Lemma 3 holds and reducible CFGs can use the Theorem-2 fast path
-  /// (test only the most-dominating surviving target).
-  Filtered,
-};
-
 /// Tuning/ablation switches.
 struct LiveCheckOptions {
-  TMode Mode = TMode::Propagated;
   /// Skip the dominance subtree of a failed target (Section 5.1 item 2).
   /// Disabling this is ablation-only; the scan then visits every set bit.
   bool SubtreeSkip = true;
-  /// Allow the Theorem-2 single-test fast path when the CFG is reducible
-  /// and Mode == Filtered.
-  bool ReducibleFastPath = true;
   /// Retain the (small) snapshot state that lets update() repatch R/T rows
   /// in place after CFG edits instead of recomputing everything. Costs a
   /// few per-node side arrays plus node-space copies of the back-edge
@@ -302,9 +285,6 @@ public:
     return TMat.test(DT.num(Of), DT.num(T));
   }
 
-  /// Whether the single-test fast path is active.
-  bool usesReducibleFastPath() const { return FastPath; }
-
   /// The cached scan side tables, by preorder number — what the subtree
   /// skip and the Algorithm-2 line-8 exclusion actually read. The
   /// differential fuzz suite compares them against a fresh engine's: a
@@ -365,11 +345,10 @@ private:
   /// edge source" of Section 5.2); rows are empty for non-sources.
   void computeAtSource(const std::vector<BitVector> &TargetT,
                        std::vector<BitVector> &AtSource) const;
-  /// The increasing-postorder reduced-graph propagation of TMode::
-  /// Propagated, including the SelfInProp capture and the final self bits.
+  /// Section 5.2's increasing-postorder reduced-graph propagation,
+  /// including the SelfInProp capture and the final self bits.
   void propagateT(const std::vector<BitVector> &AtSource);
-  void computeTPropagated();
-  void computeTFiltered();
+  void computeT();
 
   /// \name Incremental update machinery (see update()).
   /// @{
@@ -385,21 +364,19 @@ private:
   /// the interval.
   bool permuteInterval(unsigned Lo, unsigned Hi);
   /// @}
-  /// Binds the scan kernels for the current SubtreeSkip/FastPath pair.
+  /// Binds the scan kernels for Opts.SubtreeSkip.
   void bindKernels();
-  template <bool Skip> void bindKernelsSkip();
-  template <bool Skip, bool FP> void bindKernelsFull();
 
-  template <bool Skip, bool FP, class Uses>
+  template <bool Skip, class Uses>
   static bool scanImpl(const LiveCheck &LC, unsigned DefNum, unsigned MaxDom,
                        unsigned QNum, Uses U, bool ExcludeTrivialQ,
                        LiveCheckStats *Sink);
-  template <bool Skip, bool FP>
+  template <bool Skip>
   static bool numSpanKernel(const LiveCheck &LC, unsigned DefNum,
                             unsigned MaxDom, unsigned QNum,
                             const unsigned *Begin, const unsigned *End,
                             bool ExcludeTrivialQ, LiveCheckStats *Sink);
-  template <bool Skip, bool FP>
+  template <bool Skip>
   static bool maskKernel(const LiveCheck &LC, unsigned DefNum,
                          unsigned MaxDom, unsigned QNum,
                          const std::uint64_t *MaskWords,
@@ -411,7 +388,6 @@ private:
   const DomTree &DT;
   LiveCheckOptions Opts;
   unsigned NumNodes = 0;
-  bool FastPath = false;
 
   /// R and T as contiguous matrices (row == preorder number).
   BitMatrix RMat;
@@ -447,7 +423,7 @@ private:
   std::vector<std::vector<unsigned>> TargetContrib;
   /// Bit v set iff v is in its own *propagated* T set before the final
   /// self-bit pass — needed to subtract a successor's self bit correctly
-  /// when re-running the propagation for a single row (Propagated mode).
+  /// when re-running the propagation for a single row.
   BitVector SelfInPropNode;
   LiveCheckUpdateStats UStats;
   /// @}

@@ -31,8 +31,8 @@ struct CacheTelemetry {
 
 } // namespace
 
-FunctionAnalyses::FunctionAnalyses(const Function &F, LiveCheckOptions Opts)
-    : F(F), Epoch(F.cfgVersion()), Opts(Opts) {}
+FunctionAnalyses::FunctionAnalyses(const Function &F)
+    : F(F), Epoch(F.cfgVersion()) {}
 
 void FunctionAnalyses::ensureCFG() {
   if (!Graph)
@@ -72,8 +72,11 @@ const DomTree &FunctionAnalyses::domTree() {
 const LiveCheck &FunctionAnalyses::liveCheck() {
   std::lock_guard<std::mutex> Lock(Mutex);
   ensureDomTree();
+  // Cached engines retain the incremental update state: refresh() is the
+  // consumer of the in-place repatch path.
   if (!Engine)
-    Engine = std::make_unique<LiveCheck>(*Graph, *Dfs, *Tree, Opts);
+    Engine = std::make_unique<LiveCheck>(
+        *Graph, *Dfs, *Tree, LiveCheckOptions{.Incremental = true});
   return *Engine;
 }
 
@@ -130,13 +133,12 @@ FunctionAnalyses &AnalysisManager::get(const Function &F) {
     // Structural edit since the snapshot: rebuild this function's entry.
     ++Counters.Invalidations;
     CacheTelemetry::get().Invalidations.inc();
-    It->second = std::make_unique<FunctionAnalyses>(F, Opts);
+    It->second = std::make_unique<FunctionAnalyses>(F);
     return *It->second;
   }
   ++Counters.Misses;
   CacheTelemetry::get().Misses.inc();
-  auto Inserted =
-      Cache.emplace(&F, std::make_unique<FunctionAnalyses>(F, Opts));
+  auto Inserted = Cache.emplace(&F, std::make_unique<FunctionAnalyses>(F));
   return *Inserted.first->second;
 }
 
@@ -146,8 +148,7 @@ FunctionAnalyses &AnalysisManager::refresh(const Function &F) {
   if (It == Cache.end()) {
     ++Counters.Misses;
     CacheTelemetry::get().Misses.inc();
-    auto Inserted =
-        Cache.emplace(&F, std::make_unique<FunctionAnalyses>(F, Opts));
+    auto Inserted = Cache.emplace(&F, std::make_unique<FunctionAnalyses>(F));
     return *Inserted.first->second;
   }
   if (It->second->epoch() == F.cfgVersion()) {
@@ -169,7 +170,7 @@ FunctionAnalyses &AnalysisManager::refresh(const Function &F) {
   ++Counters.JournalGaps;
   CacheTelemetry::get().Invalidations.inc();
   CacheTelemetry::get().JournalGaps.inc();
-  It->second = std::make_unique<FunctionAnalyses>(F, Opts);
+  It->second = std::make_unique<FunctionAnalyses>(F);
   return *It->second;
 }
 

@@ -42,23 +42,22 @@ class ThreadPool;
 
 /// Which engine answers the workload. The explicit values are the wire ids
 /// of the server protocol's LoadModule command; ids of retired backends
-/// (2, 3, 4) stay unassigned so old clients get an error, not another
+/// (1, 2, 3, 4) stay unassigned so old clients get an error, not another
 /// engine.
 enum class BatchBackend : std::uint8_t {
   LiveCheckPropagated = 0, ///< The paper's engine, Section-5.2 T sets.
-  LiveCheckFiltered = 1,   ///< Exact Definition-5 sets + reducible fast path.
   Dataflow = 5,            ///< Iterative data-flow baseline ("Native").
   PathExploration = 6,     ///< Appel-Palsberg per-variable backwalk baseline.
 };
 
 /// Every backend, in wire-id order.
 inline constexpr BatchBackend AllBatchBackends[] = {
-    BatchBackend::LiveCheckPropagated, BatchBackend::LiveCheckFiltered,
-    BatchBackend::Dataflow, BatchBackend::PathExploration};
+    BatchBackend::LiveCheckPropagated, BatchBackend::Dataflow,
+    BatchBackend::PathExploration};
 
 const char *batchBackendName(BatchBackend B);
 
-/// Parses "propagated", "filtered", "dataflow", "path-exploration"
+/// Parses "propagated", "dataflow", "path-exploration"
 /// (returns false on anything else).
 bool parseBatchBackend(const std::string &Name, BatchBackend &Out);
 
@@ -209,7 +208,6 @@ public:
                    std::uint64_t Seed, std::size_t Count);
 
 private:
-  static LiveCheckOptions liveCheckOptionsFor(BatchBackend B);
   bool usesLiveCheck() const;
 
   std::vector<const Function *> Funcs;

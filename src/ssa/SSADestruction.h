@@ -19,7 +19,8 @@
 /// copies. We keep the pairwise liveness tests (the measured quantity) and
 /// fall back to full isolation of a φ (Method I style, always correct) in
 /// the rare constellation where merging copies could clobber a value that
-/// is live through the predecessor; DESIGN.md discusses the substitution.
+/// is live through the predecessor. Isolation only adds copies, so the
+/// output stays correct and the pass issues the same kind of queries.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,7 +11,8 @@
 /// synthetic workload: procedure counts and block-count distributions are
 /// matched per benchmark, and every paper-reported number is carried along
 /// as the reference value the harnesses print next to the measured one.
-/// DESIGN.md Section 2 documents this substitution.
+/// The harnesses thus reproduce the paper's shapes and ratios, not its
+/// absolute figures.
 ///
 //===----------------------------------------------------------------------===//
 

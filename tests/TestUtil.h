@@ -139,10 +139,9 @@ private:
 /// all of them pairwise.
 class PreparedLiveness : public LivenessQueries {
 public:
-  explicit PreparedLiveness(const Function &F, bool UseMask = false,
-                            LiveCheckOptions Opts = {})
+  explicit PreparedLiveness(const Function &F, bool UseMask = false)
       : Graph(CFG::fromFunction(F)), Dfs(Graph), Tree(Graph, Dfs),
-        Engine(Graph, Dfs, Tree, Opts), UseMask(UseMask),
+        Engine(Graph, Dfs, Tree), UseMask(UseMask),
         Mask(Graph.numNodes()) {}
 
   bool isLiveIn(const Value &V, const BasicBlock &B) override {

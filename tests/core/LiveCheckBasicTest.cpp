@@ -156,18 +156,6 @@ TEST(LiveCheckBasic, ReducedReachabilityExcludesBackEdges) {
   EXPECT_TRUE(E.Check.isReducedReachable(2, 2)) << "trivial path";
 }
 
-TEST(LiveCheckBasic, FastPathOnlyWithFilteredReducible) {
-  CFG Loop = makeCFG(4, {{0, 1}, {1, 2}, {2, 1}, {1, 3}});
-  Engines Propagated(Loop, LiveCheckOptions{TMode::Propagated, true, true});
-  EXPECT_FALSE(Propagated.Check.usesReducibleFastPath());
-  Engines Filtered(Loop, LiveCheckOptions{TMode::Filtered, true, true});
-  EXPECT_TRUE(Filtered.Check.usesReducibleFastPath());
-
-  CFG Irred = makeCFG(3, {{0, 1}, {0, 2}, {1, 2}, {2, 1}});
-  Engines FilteredIrred(Irred, LiveCheckOptions{TMode::Filtered, true, true});
-  EXPECT_FALSE(FilteredIrred.Check.usesReducibleFastPath());
-}
-
 TEST(LiveCheckBasic, StatsCountQueries) {
   Engines E(makeCFG(3, {{0, 1}, {1, 2}}));
   std::vector<unsigned> Uses{2};

@@ -6,8 +6,8 @@
 //
 // The load-bearing correctness tests: on random CFGs (structured reducible
 // and goto-mangled irreducible) with random variable placements, every
-// (variable, block) live-in and live-out answer of the fast engine — in
-// all option combinations — must equal the brute-force oracle that
+// (variable, block) live-in and live-out answer of the fast engine — with
+// and without subtree skipping — must equal the brute-force oracle that
 // implements the paper's Definitions 2 and 3 by graph search.
 //
 //===----------------------------------------------------------------------===//
@@ -19,6 +19,8 @@
 #include "workload/CFGGenerator.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace ssalive;
 using namespace ssalive::testutil;
@@ -60,6 +62,55 @@ struct Config {
 
 class LiveCheckProperty : public ::testing::TestWithParam<Config> {};
 
+using BoolMatrix = std::vector<std::vector<bool>>;
+
+/// Definition 4 by brute force: R[v][w] iff w is reachable from v by BFS
+/// over the CFG minus the DFS back edges.
+BoolMatrix bruteReducedReach(const CFG &G, const DFS &D) {
+  const std::set<std::pair<unsigned, unsigned>> Back(D.backEdges().begin(),
+                                                     D.backEdges().end());
+  unsigned N = G.numNodes();
+  BoolMatrix R(N, std::vector<bool>(N, false));
+  for (unsigned V = 0; V != N; ++V) {
+    std::vector<unsigned> Work{V};
+    R[V][V] = true;
+    while (!Work.empty()) {
+      unsigned X = Work.back();
+      Work.pop_back();
+      for (unsigned Y : G.successors(X))
+        if (!Back.count({X, Y}) && !R[V][Y]) {
+          R[V][Y] = true;
+          Work.push_back(Y);
+        }
+    }
+  }
+  return R;
+}
+
+/// Definition 5 by brute force: the least fixpoint of
+///   T_v = {v} ∪ ⋃ T_t over t ∈ T↑_v,
+///   T↑_v = { t ∉ R_v | some back edge (s, t) has s ∈ R_v }.
+BoolMatrix bruteTargetSets(const CFG &G, const DFS &D, const BoolMatrix &R) {
+  unsigned N = G.numNodes();
+  BoolMatrix T(N, std::vector<bool>(N, false));
+  for (unsigned V = 0; V != N; ++V)
+    T[V][V] = true;
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (unsigned V = 0; V != N; ++V)
+      for (auto [S, Tgt] : D.backEdges()) {
+        if (!R[V][S] || R[V][Tgt])
+          continue;
+        for (unsigned W = 0; W != N; ++W)
+          if (T[Tgt][W] && !T[V][W]) {
+            T[V][W] = true;
+            Changed = true;
+          }
+      }
+  }
+  return T;
+}
+
 } // namespace
 
 TEST_P(LiveCheckProperty, AllQueriesMatchOracle) {
@@ -74,17 +125,12 @@ TEST_P(LiveCheckProperty, AllQueriesMatchOracle) {
     DFS D(G);
     DomTree DT(G, D);
 
-    // Engine variants under test: both T modes, plus the subtree-skip and
-    // fast-path ablations.
-    LiveCheck Propagated(G, D, DT, {TMode::Propagated, true, true});
-    LiveCheck Filtered(G, D, DT, {TMode::Filtered, true, true});
-    LiveCheck NoSkip(G, D, DT, {TMode::Propagated, false, false});
-    LiveCheck NoFast(G, D, DT, {TMode::Filtered, true, false});
+    // Engine variants under test: the default and the subtree-skip
+    // ablation.
+    LiveCheck Propagated(G, D, DT);
+    LiveCheck NoSkip(G, D, DT, {.SubtreeSkip = false});
     const std::pair<const char *, const LiveCheck *> Engines[] = {
-        {"propagated", &Propagated},
-        {"filtered", &Filtered},
-        {"noskip", &NoSkip},
-        {"nofast", &NoFast}};
+        {"propagated", &Propagated}, {"noskip", &NoSkip}};
 
     auto Vars = placeVariables(G, DT, Rng, 12);
     for (const SyntheticVar &V : Vars) {
@@ -104,8 +150,9 @@ TEST_P(LiveCheckProperty, AllQueriesMatchOracle) {
   }
 }
 
-/// Definition-5 invariants of the precomputed sets themselves, checked
-/// structurally on random graphs.
+/// Definition-4/5 invariants of the precomputed sets themselves, checked on
+/// random graphs against brute-force references that share no code with
+/// the engine.
 TEST_P(LiveCheckProperty, PrecomputedSetInvariants) {
   const Config &C = GetParam();
   for (std::uint64_t Seed = 0; Seed != std::min(C.Seeds, 8u); ++Seed) {
@@ -117,27 +164,28 @@ TEST_P(LiveCheckProperty, PrecomputedSetInvariants) {
     CFG G = generateCFG(Opts, Rng);
     DFS D(G);
     DomTree DT(G, D);
-    LiveCheck Propagated(G, D, DT, {TMode::Propagated, true, true});
-    LiveCheck Filtered(G, D, DT, {TMode::Filtered, true, true});
+    LiveCheck Propagated(G, D, DT);
+    const BoolMatrix R = bruteReducedReach(G, D);
+    const BoolMatrix T = bruteTargetSets(G, D, R);
 
     for (unsigned V = 0; V != G.numNodes(); ++V) {
       // v ∈ R_v and v ∈ T_v.
       EXPECT_TRUE(Propagated.isReducedReachable(V, V));
       EXPECT_TRUE(Propagated.isInT(V, V));
-      EXPECT_TRUE(Filtered.isInT(V, V));
       for (unsigned W = 0; W != G.numNodes(); ++W) {
-        // Filtered sets are Definition 5; propagated sets may only add.
-        if (Filtered.isInT(V, W)) {
+        EXPECT_EQ(Propagated.isReducedReachable(V, W), bool(R[V][W]))
+            << "R_" << V << " vs Definition 4 at " << W << ", seed "
+            << Seed;
+        // Propagated sets are Definition 5 plus extra members only.
+        if (T[V][W]) {
           EXPECT_TRUE(Propagated.isInT(V, W))
-              << "propagated must be a superset, seed " << Seed;
+              << "propagated must be a superset of Definition 5: T_" << V
+              << " lacks " << W << ", seed " << Seed;
         }
         // Every T member other than the node itself is a back-edge target.
         if (W != V && Propagated.isInT(V, W)) {
           EXPECT_TRUE(D.isBackEdgeTarget(W)) << "seed " << Seed;
         }
-        // R agrees between modes (it does not depend on the T mode).
-        EXPECT_EQ(Propagated.isReducedReachable(V, W),
-                  Filtered.isReducedReachable(V, W));
       }
     }
   }

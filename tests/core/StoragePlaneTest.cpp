@@ -81,13 +81,10 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
     DomTree DT(G, D);
     unsigned N = G.numNodes();
 
-    // Both T modes, plus the subtree-skip and fast-path ablations.
+    // The default engine and the subtree-skip ablation.
     std::vector<std::unique_ptr<LiveCheck>> Engines;
     for (LiveCheckOptions EOpts :
-         {LiveCheckOptions{TMode::Propagated, true, true},
-          LiveCheckOptions{TMode::Filtered, true, true},
-          LiveCheckOptions{TMode::Propagated, false, false},
-          LiveCheckOptions{TMode::Filtered, true, false}})
+         {LiveCheckOptions{}, LiveCheckOptions{.SubtreeSkip = false}})
       Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, EOpts));
 
     auto Vars = placeVariables(G, DT, Rng, 10);
@@ -126,10 +123,8 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
         auto Ctx = [&](unsigned Q, const char *Entry) {
           return ::testing::Message()
                  << C.Name << " seed " << Seed << " def " << V.Def << " q "
-                 << Q << " entry " << Entry << " mode "
-                 << static_cast<int>(E->options().Mode) << " skip "
-                 << E->options().SubtreeSkip << " fast "
-                 << E->options().ReducibleFastPath;
+                 << Q << " entry " << Entry << " skip "
+                 << E->options().SubtreeSkip;
         };
         for (unsigned Q = 0; Q != N; ++Q) {
           EXPECT_EQ(E->isLiveIn(V.Def, Q, V.Uses), WantIn[Q])

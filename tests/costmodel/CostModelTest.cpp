@@ -70,7 +70,7 @@ struct Module {
 } // namespace
 
 TEST(CostModel, ScanWorkPerAblationVariant) {
-  // bench_ablation's four variants over one fixed query stream: the
+  // bench_ablation's variants over one fixed query stream: the
   // queries SSA destruction issues on every function of the module.
   struct Pin {
     const char *Name;
@@ -78,13 +78,8 @@ TEST(CostModel, ScanWorkPerAblationVariant) {
     std::uint64_t Targets, UseTests;
   };
   const Pin Pins[] = {
-      {"propagated+skip", {TMode::Propagated, true, true}, 5513, 25933},
-      {"propagated-noskip",
-       {TMode::Propagated, false, false},
-       119636,
-       583004},
-      {"filtered+fastpath", {TMode::Filtered, true, true}, 4879, 23754},
-      {"filtered-nofast", {TMode::Filtered, true, false}, 4879, 23754},
+      {"propagated+skip", {}, 5513, 25933},
+      {"propagated-noskip", {.SubtreeSkip = false}, 119636, 583004},
   };
   const std::uint64_t PinnedQueries = 7195, PinnedLive = 1109;
 

@@ -255,23 +255,15 @@ unsigned runCFGFuzz(std::uint64_t Seed, bool Reducible, unsigned Steps) {
   GOpts.GotoEdges = Reducible ? 0 : 3;
   CFG G = generateCFG(GOpts, Rng);
 
-  // Both T modes. Incremental rigs take the row-repatch path; the
-  // Incremental=false rigs exercise update()'s in-place full recompute
-  // fallback, so the repatch is diffed against a recompute of the same
-  // engine as well as against fresh construction.
-  LiveCheckOptions IncProp;
-  IncProp.Incremental = true;
-  LiveCheckOptions IncFilt = IncProp;
-  IncFilt.Mode = TMode::Filtered;
-  LiveCheckOptions FullProp;
-  LiveCheckOptions FullFilt;
-  FullFilt.Mode = TMode::Filtered;
-
+  // The incremental rig takes the row-repatch path; the Incremental=false
+  // rig exercises update()'s in-place full recompute fallback, so the
+  // repatch is diffed against a recompute of the same engine as well as
+  // against fresh construction.
   std::vector<std::unique_ptr<Rig>> Rigs;
-  Rigs.push_back(std::make_unique<Rig>(G, "incremental/prop", IncProp));
-  Rigs.push_back(std::make_unique<Rig>(G, "incremental/filt", IncFilt));
-  Rigs.push_back(std::make_unique<Rig>(G, "recompute/prop", FullProp));
-  Rigs.push_back(std::make_unique<Rig>(G, "recompute/filt", FullFilt));
+  Rigs.push_back(std::make_unique<Rig>(G, "incremental/prop",
+                                       LiveCheckOptions{.Incremental = true}));
+  Rigs.push_back(
+      std::make_unique<Rig>(G, "recompute/prop", LiveCheckOptions{}));
 
   CFGMutatorOptions MOpts;
   MOpts.PreserveReducibility = Reducible;
@@ -316,12 +308,12 @@ unsigned runCFGFuzz(std::uint64_t Seed, bool Reducible, unsigned Steps) {
   }
 
   // The campaign must actually exercise the incremental plane, and the
-  // recompute rigs must never take it.
+  // recompute rig must never take it.
   const auto &IncStats = Rigs[0]->LC.updateStats();
   EXPECT_GT(IncStats.IncrementalRepatches, Executed / 4)
       << "seed=" << Seed << ": the incremental rig almost never took the "
       << "row-repatch path; the fuzz is not testing what it claims";
-  EXPECT_EQ(Rigs[2]->LC.updateStats().IncrementalRepatches, 0u)
+  EXPECT_EQ(Rigs[1]->LC.updateStats().IncrementalRepatches, 0u)
       << "seed=" << Seed;
   EXPECT_GT(Rigs[0]->DT.updateStats().ScopedRepairs, 0u) << "seed=" << Seed;
   return Executed;
@@ -400,7 +392,8 @@ unsigned runFunctionFuzz(std::uint64_t Seed, unsigned Steps) {
     std::vector<unsigned> LTIdoms = computeIdomsLengauerTarjan(FreshG);
     if (!compareDomTrees(DT, FreshDT, LTIdoms, Tag))
       return Executed;
-    LiveCheck Fresh(FreshG, FreshD, FreshDT, AM.liveCheckOptions());
+    LiveCheck Fresh(FreshG, FreshD, FreshDT,
+                    LiveCheckOptions{.Incremental = true});
 
     // Real SSA variables: every function value with a definition, queried
     // through its Definition-1 use blocks.
@@ -507,7 +500,7 @@ unsigned runServerRoutedFuzz(std::uint64_t Seed, unsigned Steps) {
     if (!compareDomTrees(DT, FreshDT, LTIdoms, Tag))
       return Executed;
     LiveCheck Fresh(FreshG, FreshD, FreshDT,
-                    S->driver().analysisManager().liveCheckOptions());
+                    LiveCheckOptions{.Incremental = true});
 
     std::vector<VarSample> Vars;
     for (const auto &V : SF.values()) {

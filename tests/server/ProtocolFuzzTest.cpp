@@ -205,9 +205,10 @@ TEST(ProtocolFuzz, BadBackendPlaneAndModuleTextAreRejected) {
                       proto::ErrorCode::BadBackend));
   EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(0, 77, "func")),
                       proto::ErrorCode::BadPlane));
-  // Retired wire ids (the sorted, bitset and block-sweep backends; the nums
-  // and mask planes) must not map onto a surviving engine.
-  for (std::uint8_t Retired : {2, 3, 4})
+  // Retired wire ids (the filtered, sorted, bitset and block-sweep
+  // backends; the nums and mask planes) must not map onto a surviving
+  // engine.
+  for (std::uint8_t Retired : {1, 2, 3, 4})
     EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(Retired, 3, "func")),
                         proto::ErrorCode::BadBackend))
         << "backend " << unsigned(Retired);
@@ -231,7 +232,7 @@ TEST(ProtocolFuzz, BadBackendPlaneAndModuleTextAreRejected) {
   EXPECT_EQ(Reply[0],
             static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded));
   // Every surviving (backend, plane) wire pair still loads.
-  for (std::uint8_t Backend : {0, 1, 5, 6})
+  for (std::uint8_t Backend : {0, 5, 6})
     for (std::uint8_t Plane : {0, 3}) {
       Reply = S->handle(
           proto::encodeLoadModule(Backend, Plane, printFunction(*F)));

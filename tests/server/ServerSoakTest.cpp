@@ -248,16 +248,16 @@ TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
 
   // Six clients across backends and query planes; the shapes chosen so
   // the request total comfortably clears 100k. The cached prepared plane
-  // (the production default) runs under both T modes and edit streams of
-  // different density, so stale-entry bugs in the cache interaction
-  // surface as byte mismatches against the block-id oracle.
+  // (the production default) runs under edit streams of different
+  // density, so stale-entry bugs in the cache interaction surface as byte
+  // mismatches against the block-id oracle.
   std::vector<ClientPlan> Plans = {
       {1001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
        42, 8},
-      {1002, BatchBackend::LiveCheckFiltered, QueryPlane::BlockId, 560, 42,
-       6},
-      {1003, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared, 560, 42,
-       8},
+      {1002, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 560,
+       42, 6},
+      {1003, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
+       42, 8},
       {1004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 560,
        42, 6},
       {1005, BatchBackend::Dataflow, QueryPlane::BlockId, 150, 42, 4},
@@ -570,9 +570,8 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
       telemetry::Registry::global().value("ssalive_server_queries_total");
   std::atomic<std::uint64_t> QueryLedger{0};
 
-  // Three sessions concurrently: both T modes on the cached prepared
-  // plane and one on block-id — so the replayed journals rebuild both
-  // planes and both engine flavors.
+  // Three sessions concurrently: two on the cached prepared plane and one
+  // on block-id — so the replayed journals rebuild both planes.
   struct ResumePlanEntry {
     std::uint64_t Seed;
     BatchBackend Backend;
@@ -580,7 +579,7 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
   };
   std::vector<ResumePlanEntry> Plans = {
       {3001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {3002, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
+      {3002, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
       {3003, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
   };
   // Plain differential clients on the same server, covering the baseline
@@ -589,8 +588,8 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
   std::vector<ClientPlan> Plain = {
       {3101, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 400,
        24, 10},
-      {3102, BatchBackend::LiveCheckFiltered, QueryPlane::BlockId, 400, 24,
-       10},
+      {3102, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 400,
+       24, 10},
       {3103, BatchBackend::Dataflow, QueryPlane::BlockId, 400, 24, 10},
       {3104, BatchBackend::PathExploration, QueryPlane::BlockId, 400, 24, 10},
   };

@@ -11,10 +11,10 @@
 // builds and the prepared plane's ensure sweep) plus the query fan-out.
 //
 //   ssalive-batch [options] [module.ssair]
-//     --backend=propagated|filtered|dataflow|path-exploration
-//                 propagated/filtered are the paper's engine (Section-5.2
-//                 and exact Definition-5 T sets); dataflow and
-//                 path-exploration are the independent baselines
+//     --backend=propagated|dataflow|path-exploration
+//                 propagated is the paper's engine (Section-5.2 T sets);
+//                 dataflow and path-exploration are the independent
+//                 baselines
 //     --plane=block-id|prepared
 //                 LiveCheck entry point per query (default prepared — the
 //                 cached per-value plane; block-id re-derives the variable
