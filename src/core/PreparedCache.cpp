@@ -215,19 +215,6 @@ const LiveCheck::PreparedVar &PreparedCache::ensureSlow(const Value &V) {
   return E.Prep;
 }
 
-const LiveCheck::PreparedVar &PreparedCache::cached(const Value &V) const {
-  assert(V.id() < Entries.size() && "value was never ensured");
-  const Entry &E = Entries[V.id()];
-  assert(fresh(E, V) &&
-         "stale prepared entry: a CFG or def-use edit invalidated this "
-         "value since ensure() — re-ensure before querying");
-  return E.Prep;
-}
-
-bool PreparedCache::isFresh(const Value &V) const {
-  return V.id() < Entries.size() && fresh(Entries[V.id()], V);
-}
-
 PreparedCacheStats PreparedCache::stats() const { return Counts; }
 
 void PreparedCache::publishTelemetry() {

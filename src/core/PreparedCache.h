@@ -50,9 +50,10 @@
 /// descriptors. The span and mask payloads themselves live in two
 /// arenas: one `unsigned` arena for the sorted use-number spans, one
 /// 64-bit-word arena for the use masks. The entry table is therefore a
-/// flat scan-friendly array, and a warm ensure sweep touches contiguous
-/// memory instead of chasing ~N per-entry heap blocks. Arena growth
-/// relocates the payloads and re-anchors every outstanding
+/// flat array indexed by value id. A value-random query stream still
+/// misses cache on nearly every entry once the table outgrows L2, which
+/// is why readers prefetch() the entries of queries a few slots ahead.
+/// Arena growth relocates the payloads and re-anchors every outstanding
 /// Prep.NumsBegin/NumsEnd/MaskWords from the stored offsets; freed slices
 /// (def-use rebuilds that change size class) are recycled through
 /// per-size-class freelists, and rebind() bulk-resets the arenas
@@ -60,7 +61,15 @@
 ///
 /// ## Concurrency
 ///
-/// ensure() mutates; cached() is safe for concurrent readers.
+/// One writer, any number of readers, never at the same time. ensure(),
+/// rebind(), sizeToFunction() and creditHits() mutate and belong to the
+/// writer. isFresh(), cached() and prefetch() only read, so any number of
+/// threads may call them while the writer stands still. The batch driver
+/// validates on read this way: its workers answer fresh entries through
+/// isFresh() + cached() and defer stale ones; after the workers join, the
+/// calling thread ensure()s the deferred values in query order, answers
+/// them, and credits the readers' hits, so stats() counts exactly what a
+/// sequential ensure() pass over the same stream would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +80,7 @@
 #include "ir/Function.h"
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -105,8 +115,9 @@ public:
   /// Drops every entry when the objects actually changed.
   void rebind(const LiveCheck &Engine, const DomTree &DT);
 
-  /// Grows the entry table to the function's current value count, so an
-  /// ensure() sweep over the function's values never resizes mid-sweep.
+  /// Grows the entry table to the function's current value count, so
+  /// every value has a slot readers can validate and ensure() never
+  /// resizes the table in the middle of a batch.
   void sizeToFunction();
 
   /// The prepared entry for \p V, built or rebuilt as needed (see the
@@ -137,14 +148,43 @@ public:
     return ensureSlow(V);
   }
 
-  /// Lock-free read of an already-ensured entry, for the concurrent query
-  /// phase. Asserts (debug builds) that the entry is fresh: serving a span
+  /// Lock-free read of an already-ensured entry, for concurrent readers.
+  /// Asserts (debug builds) that the entry is fresh: serving a span
   /// prepared under a superseded numbering is exactly the wrong-answer
   /// class the epoch contract forbids.
-  const LiveCheck::PreparedVar &cached(const Value &V) const;
+  const LiveCheck::PreparedVar &cached(const Value &V) const {
+    assert(V.id() < Entries.size() && "value was never ensured");
+    const Entry &E = Entries[V.id()];
+    assert(fresh(E, V) &&
+           "stale prepared entry: a CFG or def-use edit invalidated this "
+           "value since ensure() — re-ensure before querying");
+    return E.Prep;
+  }
 
-  /// True when \p V's entry exists and both epochs still match.
-  bool isFresh(const Value &V) const;
+  /// True when \p V's entry exists and both epochs still match. Inline for
+  /// the same reason as ensure(): readers call it once per query.
+  bool isFresh(const Value &V) const {
+    return V.id() < Entries.size() && fresh(Entries[V.id()], V);
+  }
+
+  /// Starts fetching the hot part of value \p ValueId's entry, so a reader
+  /// a few queries behind finds it in cache. A no-op for ids past the
+  /// table.
+  void prefetch(std::uint32_t ValueId) const {
+#if defined(__GNUC__) || defined(__clang__)
+    if (ValueId < Entries.size()) {
+      const char *Hot = reinterpret_cast<const char *>(&Entries[ValueId]);
+      __builtin_prefetch(Hot);
+      __builtin_prefetch(Hot + offsetof(Entry, NumsClass) - 1);
+    }
+#else
+    (void)ValueId;
+#endif
+  }
+
+  /// Counts \p N hits that readers served through isFresh() + cached()
+  /// (they cannot bump the counter themselves without a data race).
+  void creditHits(std::uint64_t N) { Counts.Hits += N; }
 
   PreparedCacheStats stats() const;
 

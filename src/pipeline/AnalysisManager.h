@@ -61,6 +61,11 @@ public:
   const LiveCheck &liveCheck();
   /// @}
 
+  /// The engine if it is already built, else null. Never builds, so a
+  /// caller can tell which functions still need the (costly) engine build
+  /// before it decides whether to fan those builds out.
+  const LiveCheck *builtLiveCheck();
+
   /// Advances the snapshot to the function's current epoch by replaying
   /// the journaled edits \p [B, E) against whatever analyses are already
   /// materialized: the cached CFG mirror absorbs the deltas, the DFS

@@ -159,6 +159,47 @@ bool queryableValue(const Value &V) {
   return V.hasSingleDef() && V.hasUses();
 }
 
+/// The largest chunk a worker claims. A batch no larger than one such
+/// chunk is answered on the calling thread: handing it to the pool costs
+/// more than it could save.
+constexpr std::size_t MaxChunk = 4096;
+
+/// How many queries ahead the prepared-plane loop prefetches. A
+/// value-random stream misses cache on the Value and on its cache entry;
+/// eight queries of scan work cover most of that latency.
+constexpr std::size_t PrefetchDistance = 8;
+
+/// Answer-slot mark of a prepared-plane query whose cache entry was stale
+/// when a worker read it. It is answered once the calling thread has
+/// rebuilt the entry.
+constexpr std::uint8_t Deferred = 2;
+
+void prefetchValue(const Value *V) {
+#if defined(__GNUC__) || defined(__clang__)
+  const char *P = reinterpret_cast<const char *>(V);
+  for (std::size_t Off = 0; Off < sizeof(Value); Off += 64)
+    __builtin_prefetch(P + Off);
+#else
+  (void)V;
+#endif
+}
+
+bool answerPrepared(const LiveCheck &E, const LiveCheck::PreparedVar &P,
+                    const BatchQuery &Q, LiveCheckStats &Stats) {
+  return Q.IsLiveOut ? E.isLiveOutPrepared(P, Q.BlockId, &Stats)
+                     : E.isLiveInPrepared(P, Q.BlockId, &Stats);
+}
+
+/// What one worker (or the calling thread) accumulates over its queries.
+struct WorkerTally {
+  BatchThreadStats Stats;
+  /// Prepared plane: queries this worker marked Deferred.
+  std::uint64_t NumDeferred = 0;
+  /// Prepared plane: fresh entries read, per function, credited to each
+  /// cache's hit counter after the fan-out.
+  std::vector<std::uint64_t> Hits;
+};
+
 } // namespace
 
 BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
@@ -168,23 +209,54 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   Result.PerThread.assign(NumWorkers, BatchThreadStats());
   Result.Answers.assign(Workload.size(), 0);
 
-  // Phase 1 — precomputation, one task per function. LiveCheck backends go
-  // through the AnalysisManager (epoch-validated: a second run() on an
-  // unmodified module rebuilds nothing); baselines are built once per
-  // driver, since they have no invalidation story — exactly the Section 7
-  // contrast this subsystem exists to exploit.
+  // Phase 1 — precomputation. LiveCheck backends go through the
+  // AnalysisManager (epoch-validated: a second run() on an unmodified
+  // module rebuilds nothing); baselines are built once per driver, since
+  // they have no invalidation story — exactly the Section 7 contrast this
+  // subsystem exists to exploit.
   auto PreStart = Clock::now();
   SSALIVE_SPAN("query-batch");
   std::vector<const LiveCheck *> Engines;
-  std::vector<const DomTree *> Trees;
   const bool UsesPreparedCache =
       usesLiveCheck() && Opts.Plane == QueryPlane::Prepared;
   {
   SSALIVE_SPAN("precompute");
   if (usesLiveCheck()) {
-    Pool->parallelFor(0, Funcs.size(), [this](std::size_t I) {
-      Manager.get(*Funcs[I]).liveCheck();
-    });
+    // One manager lookup per function. Engines already built (all of
+    // them, in a warm batch) are taken as they are; a single cold engine
+    // is built inline and several fan out across the pool. A warm batch
+    // therefore hands the pool nothing, and the query loop never touches
+    // the manager's lock.
+    std::vector<FunctionAnalyses *> Analyses(Funcs.size());
+    std::vector<std::size_t> Cold;
+    Engines.resize(Funcs.size());
+    for (std::size_t I = 0; I != Funcs.size(); ++I) {
+      Analyses[I] = &Manager.get(*Funcs[I]);
+      Engines[I] = Analyses[I]->builtLiveCheck();
+      if (!Engines[I])
+        Cold.push_back(I);
+    }
+    auto Build = [&](std::size_t K) {
+      Engines[Cold[K]] = &Analyses[Cold[K]]->liveCheck();
+    };
+    if (Cold.size() == 1)
+      Build(0);
+    else if (!Cold.empty())
+      Pool->parallelFor(0, Cold.size(), Build);
+    // The prepared plane keeps one cache per function across batches. Its
+    // entries are validated per query in phase 2, not here.
+    if (UsesPreparedCache) {
+      Prepared.resize(Funcs.size());
+      for (std::size_t I = 0; I != Funcs.size(); ++I) {
+        const DomTree &DT = Analyses[I]->domTree();
+        if (!Prepared[I])
+          Prepared[I] =
+              std::make_unique<PreparedCache>(*Funcs[I], *Engines[I], DT);
+        else
+          Prepared[I]->rebind(*Engines[I], DT);
+        Prepared[I]->sizeToFunction();
+      }
+    }
   } else if (Baselines.empty()) {
     Baselines.resize(Funcs.size());
     Pool->parallelFor(0, Funcs.size(), [this](std::size_t I) {
@@ -194,121 +266,60 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
         Baselines[I] = std::make_unique<PathExplorationLiveness>(*Funcs[I]);
     });
   }
-  // Resolve the per-function engines up front so the query loop never
-  // touches the manager's lock. The prepared plane additionally needs each
-  // function's dominator tree to translate use blocks to preorder numbers.
-  if (usesLiveCheck()) {
-    Engines.reserve(Funcs.size());
-    if (UsesPreparedCache)
-      Trees.reserve(Funcs.size());
-    for (const Function *F : Funcs) {
-      FunctionAnalyses &FA = Manager.get(*F);
-      Engines.push_back(&FA.liveCheck());
-      if (UsesPreparedCache)
-        Trees.push_back(&FA.domTree());
-    }
-  }
-
-  // The cached prepared plane: make sure every value the workload touches
-  // has a fresh PreparedVar before the query fan-out, so the query loop is
-  // pure lock-free reads. One linear ensure() sweep over the workload: a
-  // value already prepared — by this batch or any earlier one — validates
-  // by epoch in two compares, so in the warm regime the sweep costs
-  // nanoseconds per query, and in the cold (or post-edit) case exactly the
-  // stale values rebuild. This is the whole point of the plane: across a
-  // session's batches the chain walk happens once per value, not once per
-  // query. (A parallel fill over deduplicated pairs was measured slower on
-  // the warm path — the per-frame sort and pool handoff cost more than
-  // the sweep they saved.)
-  if (UsesPreparedCache) {
-    if (Prepared.size() != Funcs.size())
-      Prepared.resize(Funcs.size());
-    for (std::size_t I = 0; I != Funcs.size(); ++I) {
-      if (!Prepared[I])
-        Prepared[I] = std::make_unique<PreparedCache>(*Funcs[I], *Engines[I],
-                                                      *Trees[I]);
-      else
-        Prepared[I]->rebind(*Engines[I], *Trees[I]);
-      Prepared[I]->sizeToFunction();
-    }
-    for (const BatchQuery &Q : Workload) {
-      assert(Q.FuncIndex < Funcs.size() && "query function out of range");
-      const Value &V = *Funcs[Q.FuncIndex]->value(Q.ValueId);
-      if (queryableValue(V))
-        Prepared[Q.FuncIndex]->ensure(V);
-    }
-  }
-  // Engine resolution and the ensure sweep are part of the precompute
-  // phase: the query timer below must measure only the fan-out.
   Result.PrecomputeMillis =
       std::chrono::duration<double, std::milli>(Clock::now() - PreStart)
           .count();
   } // precompute span
 
-  // Phase 2 — the query stream, carved into chunks the workers claim
-  // through the scheduler. Each query writes only its own Answers slot and
-  // each worker owns its PerThread slot, so the phase stays
-  // write-shared-nothing and the result bytes are independent of the
-  // thread count and chunking (the scheduler-equivalence suite pins this).
+  // Phase 2 — the query stream, answered one query at a time in arrival
+  // order. Each query writes only its own Answers slot and each worker
+  // owns its tally, so the phase stays write-shared-nothing and the result
+  // bytes are independent of the thread count and chunking (the
+  // scheduler-equivalence suite pins this).
+  //
+  // The prepared plane validates on read. A fresh cache entry is answered
+  // in place and counted as a hit. A stale one (a value not yet prepared,
+  // or invalidated by an edit) is marked Deferred and left for the calling
+  // thread, the caches' only writer, after the workers are done.
   auto QueryStart = Clock::now();
   const std::size_t NumQueries = Workload.size();
-  // Adaptive chunking: enough chunks for skewed streams to rebalance,
-  // while small batches stay near one claim per worker.
-  const std::size_t Chunk = std::clamp<std::size_t>(
-      NumQueries / (std::size_t(NumWorkers) * 8), 256, 4096);
-  const std::size_t NumChunks = (NumQueries + Chunk - 1) / Chunk;
-  // One claim cursor per worker over its contiguous queue of chunks.
-  // Thieves claim through the same cursor, so fetch_add tickets hand every
-  // chunk to exactly one worker with no other synchronization; a skewed
-  // chunk (hot values cost more than cold ones) delays only its claimer
-  // while the rest of its queue drains into the other workers.
-  struct alignas(64) ChunkCursor {
-    std::atomic<std::size_t> Next{0};
-    std::size_t End = 0;
-  };
-  std::vector<ChunkCursor> Cursors(NumWorkers);
-  for (unsigned W = 0; W != NumWorkers; ++W) {
-    Cursors[W].Next.store(NumChunks * W / NumWorkers,
-                          std::memory_order_relaxed);
-    Cursors[W].End = NumChunks * (W + 1) / NumWorkers;
-  }
-  Pool->runPerWorker([&](unsigned Worker) {
-    // Counters accumulate on the worker's stack: adjacent PerThread slots
-    // share cache lines, and bouncing one per query would erase exactly
-    // the scaling this driver exists to deliver.
-    BatchThreadStats Stats;
+  auto answerRange = [&](std::size_t Begin, std::size_t End,
+                         WorkerTally &T) {
     // Scratch, reused across queries and (through the thread-local pools)
     // across batches: the buffers keep their capacity between runs.
     auto UsesH = pool::scratchArray();
     std::vector<unsigned> &Uses = *UsesH;
-    // One query, in arrival order, on whichever plane or backend is set.
-    auto answerOne = [&](std::size_t I) {
+    for (std::size_t I = Begin; I != End; ++I) {
+      if (UsesPreparedCache && I + PrefetchDistance < NumQueries) {
+        const BatchQuery &Ahead = Workload[I + PrefetchDistance];
+        prefetchValue(Funcs[Ahead.FuncIndex]->value(Ahead.ValueId));
+        Prepared[Ahead.FuncIndex]->prefetch(Ahead.ValueId);
+      }
       const BatchQuery &Q = Workload[I];
       assert(Q.FuncIndex < Funcs.size() && "query function out of range");
       const Function &F = *Funcs[Q.FuncIndex];
       const Value &V = *F.value(Q.ValueId);
       bool Answer = false;
       if (queryableValue(V)) {
-        if (usesLiveCheck()) {
-          const LiveCheck &E = *Engines[Q.FuncIndex];
-          if (UsesPreparedCache) {
-            // The cached plane: the precompute phase ensured every
-            // workload value, so this is a lock-free table read — no
-            // chain walk, no numbering, no allocation per query.
-            const LiveCheck::PreparedVar &P =
-                Prepared[Q.FuncIndex]->cached(V);
-            Answer = Q.IsLiveOut
-                         ? E.isLiveOutPrepared(P, Q.BlockId, &Stats.Engine)
-                         : E.isLiveInPrepared(P, Q.BlockId, &Stats.Engine);
-          } else {
-            // The block-id oracle re-derives the variable per query.
-            Uses.clear();
-            appendLiveUseBlocks(V, Uses);
-            unsigned Def = defBlockId(V);
-            Answer = Q.IsLiveOut
-                         ? E.isLiveOut(Def, Q.BlockId, Uses, &Stats.Engine)
-                         : E.isLiveIn(Def, Q.BlockId, Uses, &Stats.Engine);
+        if (UsesPreparedCache) {
+          const PreparedCache &C = *Prepared[Q.FuncIndex];
+          if (!C.isFresh(V)) {
+            Result.Answers[I] = Deferred;
+            ++T.NumDeferred;
+            continue;
           }
+          ++T.Hits[Q.FuncIndex];
+          Answer = answerPrepared(*Engines[Q.FuncIndex], C.cached(V), Q,
+                                  T.Stats.Engine);
+        } else if (usesLiveCheck()) {
+          // The block-id oracle re-derives the variable per query.
+          const LiveCheck &E = *Engines[Q.FuncIndex];
+          Uses.clear();
+          appendLiveUseBlocks(V, Uses);
+          unsigned Def = defBlockId(V);
+          Answer = Q.IsLiveOut
+                       ? E.isLiveOut(Def, Q.BlockId, Uses, &T.Stats.Engine)
+                       : E.isLiveIn(Def, Q.BlockId, Uses, &T.Stats.Engine);
         } else {
           LivenessQueries &B = *Baselines[Q.FuncIndex];
           const BasicBlock &Block = *F.block(Q.BlockId);
@@ -316,28 +327,114 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
         }
       }
       Result.Answers[I] = Answer;
-      Stats.PositiveAnswers += Answer;
-    };
-
-    // Drain the own queue first, then visit the other cursors round-robin.
-    // Chunks are never re-added, so one pass over every cursor claims
-    // everything.
-    for (unsigned V = 0; V != NumWorkers; ++V) {
-      unsigned Victim = (Worker + V) % NumWorkers;
-      ChunkCursor &C = Cursors[Victim];
-      while (true) {
-        std::size_t Ticket = C.Next.fetch_add(1, std::memory_order_relaxed);
-        if (Ticket >= C.End)
-          break;
-        ++Stats.ChunksClaimed;
-        Stats.ChunksStolen += Victim != Worker;
-        std::size_t End = std::min((Ticket + 1) * Chunk, NumQueries);
-        for (std::size_t I = Ticket * Chunk; I != End; ++I)
-          answerOne(I);
-      }
+      T.Stats.PositiveAnswers += Answer;
     }
-    Result.PerThread[Worker] = Stats;
-  });
+  };
+  // Prepared-plane queries that were deferred, answered once ensure() made
+  // their entries fresh again.
+  auto answerDeferred = [&](std::size_t Begin, std::size_t End,
+                            WorkerTally &T) {
+    for (std::size_t I = Begin; I != End; ++I) {
+      if (Result.Answers[I] != Deferred)
+        continue;
+      const BatchQuery &Q = Workload[I];
+      const Value &V = *Funcs[Q.FuncIndex]->value(Q.ValueId);
+      bool Answer = answerPrepared(*Engines[Q.FuncIndex],
+                                   Prepared[Q.FuncIndex]->cached(V), Q,
+                                   T.Stats.Engine);
+      Result.Answers[I] = Answer;
+      T.Stats.PositiveAnswers += Answer;
+    }
+  };
+
+  std::vector<WorkerTally> Tallies(NumWorkers);
+  if (UsesPreparedCache)
+    for (WorkerTally &T : Tallies)
+      T.Hits.assign(Funcs.size(), 0);
+  // Runs Pass(Begin, End, Tally) over the whole workload: on the calling
+  // thread as worker 0 when the work fits one maximal chunk (handing it
+  // to the pool costs more than it could save), else across the pool.
+  auto overChunks = [&](const auto &Pass, std::size_t Work,
+                        bool CountChunks) {
+    if (Work <= MaxChunk) {
+      Pass(0, NumQueries, Tallies[0]);
+      Tallies[0].Stats.ChunksClaimed += CountChunks && NumQueries != 0;
+      return;
+    }
+    // Adaptive chunking: enough chunks for skewed streams to rebalance,
+    // while small batches stay near one claim per worker.
+    const std::size_t Chunk = std::clamp<std::size_t>(
+        NumQueries / (std::size_t(NumWorkers) * 8), 256, MaxChunk);
+    const std::size_t NumChunks = (NumQueries + Chunk - 1) / Chunk;
+    // One claim cursor per worker over its contiguous queue of chunks.
+    // Thieves claim through the same cursor, so fetch_add tickets hand
+    // every chunk to exactly one worker with no other synchronization; a
+    // skewed chunk (hot values cost more than cold ones) delays only its
+    // claimer while the rest of its queue drains into the other workers.
+    struct alignas(64) ChunkCursor {
+      std::atomic<std::size_t> Next{0};
+      std::size_t End = 0;
+    };
+    std::vector<ChunkCursor> Cursors(NumWorkers);
+    for (unsigned W = 0; W != NumWorkers; ++W) {
+      Cursors[W].Next.store(NumChunks * W / NumWorkers,
+                            std::memory_order_relaxed);
+      Cursors[W].End = NumChunks * (W + 1) / NumWorkers;
+    }
+    Pool->runPerWorker([&](unsigned Worker) {
+      // The tally lives on the worker's stack until the end: adjacent
+      // Tallies slots share cache lines, and bouncing one per query would
+      // erase exactly the scaling this driver exists to deliver.
+      WorkerTally T = std::move(Tallies[Worker]);
+      // Drain the own queue first, then visit the other cursors
+      // round-robin. Chunks are never re-added, so one pass over every
+      // cursor claims everything.
+      for (unsigned V = 0; V != NumWorkers; ++V) {
+        unsigned Victim = (Worker + V) % NumWorkers;
+        ChunkCursor &C = Cursors[Victim];
+        while (true) {
+          std::size_t Ticket = C.Next.fetch_add(1, std::memory_order_relaxed);
+          if (Ticket >= C.End)
+            break;
+          if (CountChunks) {
+            ++T.Stats.ChunksClaimed;
+            T.Stats.ChunksStolen += Victim != Worker;
+          }
+          Pass(Ticket * Chunk, std::min((Ticket + 1) * Chunk, NumQueries),
+               T);
+        }
+      }
+      Tallies[Worker] = std::move(T);
+    });
+  };
+
+  overChunks(answerRange, NumQueries, /*CountChunks=*/true);
+
+  // The deferred queries. The calling thread ensure()s them in query
+  // order: a stale entry is rebuilt at its first deferred query and hit
+  // at the later ones. With the readers' hits credited on top, each cache
+  // counts exactly what one sequential ensure() pass over the whole
+  // stream would. Then the deferred queries are answered like any other,
+  // across the pool when there are more than one chunk's worth (a cold
+  // batch defers all of them).
+  if (UsesPreparedCache) {
+    std::uint64_t NumDeferred = 0;
+    for (const WorkerTally &T : Tallies) {
+      NumDeferred += T.NumDeferred;
+      for (std::size_t FI = 0; FI != T.Hits.size(); ++FI)
+        Prepared[FI]->creditHits(T.Hits[FI]);
+    }
+    for (std::size_t I = 0, Left = NumDeferred; Left != 0; ++I)
+      if (Result.Answers[I] == Deferred) {
+        const BatchQuery &Q = Workload[I];
+        Prepared[Q.FuncIndex]->ensure(*Funcs[Q.FuncIndex]->value(Q.ValueId));
+        --Left;
+      }
+    if (NumDeferred != 0)
+      overChunks(answerDeferred, NumDeferred, /*CountChunks=*/false);
+  }
+  for (unsigned W = 0; W != NumWorkers; ++W)
+    Result.PerThread[W] = Tallies[W].Stats;
   Result.QueryMillis =
       std::chrono::duration<double, std::milli>(Clock::now() - QueryStart)
           .count();

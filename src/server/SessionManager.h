@@ -12,11 +12,13 @@
 /// out, so socket handlers, in-process tests, and the protocol fuzzer all
 /// drive the identical dispatch path.
 ///
-/// Query batches fan out across the shared pool exactly like the batch
-/// driver's workloads: the reply's answer bytes are the driver's per-worker
-/// answer spans (each worker writes only its contiguous slice — no
-/// cross-worker locks on the hot path), so replies are byte-identical for
-/// any thread count and any interleaving of other sessions on the pool.
+/// Query batches run through the batch driver exactly like its workloads:
+/// a batch above 4,096 queries fans out across the shared pool, a smaller
+/// one is answered on the handler thread. The reply's answer bytes are the
+/// driver's per-query answer slots (each worker writes only the slots of
+/// the chunks it claimed — no cross-worker locks on the hot path), so
+/// replies are byte-identical for any thread count and any interleaving
+/// of other sessions on the pool.
 ///
 /// CFG-edit commands replay deterministic mutations against the session's
 /// module (workload::applyFunctionMutation), coalesced per frame: all

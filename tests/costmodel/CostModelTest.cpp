@@ -35,6 +35,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace ssalive;
@@ -305,18 +306,23 @@ TEST(CostModel, IncrementalRepairCountsOnAFixedEditStream) {
 }
 
 TEST(CostModel, WarmRunPoolFanOut) {
-  // Pool tasks one warm run() submits at 4 threads: the precompute phase's
-  // parallelFor (one task per worker, revalidating built engines) plus the
-  // query phase's runPerWorker (one per worker).
+  // Pool tasks one warm run() submits at 4 threads. Every engine is
+  // already built, so precompute submits nothing. A batch of at most one
+  // maximal chunk (4,096 queries) is answered on the calling thread; a
+  // larger one adds the query phase's runPerWorker, one task per worker.
   Module M;
-  std::vector<BatchQuery> Workload =
-      BatchLivenessDriver::generateWorkload(M.Funcs, 0xFA90, 4096);
   BatchOptions Opts;
   Opts.Threads = 4;
   BatchLivenessDriver Driver(M.Funcs, Opts);
-  (void)Driver.run(Workload);
   const telemetry::Registry &Reg = telemetry::Registry::global();
-  std::uint64_t Before = Reg.value("ssalive_pool_tasks_total");
-  (void)Driver.run(Workload);
-  EXPECT_EQ(Reg.value("ssalive_pool_tasks_total") - Before, 8u);
+  for (auto [Queries, Tasks] : {std::pair<std::size_t, std::uint64_t>{4096, 0},
+                                {50000, 4}}) {
+    std::vector<BatchQuery> Workload =
+        BatchLivenessDriver::generateWorkload(M.Funcs, 0xFA90, Queries);
+    (void)Driver.run(Workload);
+    std::uint64_t Before = Reg.value("ssalive_pool_tasks_total");
+    (void)Driver.run(Workload);
+    EXPECT_EQ(Reg.value("ssalive_pool_tasks_total") - Before, Tasks)
+        << Queries << " queries";
+  }
 }

@@ -7,13 +7,19 @@
 // The module-level batch driver: N-thread execution must produce answers
 // byte-identical to the single-threaded run (queries are read-only against
 // shared engines; every answer has its own slot), every backend must agree
-// with every other, and the analysis cache must amortize across runs.
+// with every other, and the analysis cache must amortize across runs. The
+// prepared plane validates cache entries on read and defers stale ones to
+// the calling thread; its answers and cache counters must match the
+// block-id oracle and a sequential ensure() pass.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/BatchLivenessDriver.h"
 
+#include "core/PreparedCache.h"
 #include "support/RandomEngine.h"
+#include "support/Telemetry.h"
+#include "workload/CFGMutator.h"
 
 #include "TestUtil.h"
 
@@ -22,6 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 using namespace ssalive;
@@ -231,6 +238,118 @@ TEST(BatchDriver, ThreadCountsAndPlanesAreByteIdentical) {
         << "backend " << batchBackendName(B)
         << " diverges under stealing from its 1-thread run";
   }
+}
+
+TEST(BatchDriver, DeferredMissesAfterARenumberingEditMatchTheOracle) {
+  // A 4-thread prepared-plane batch after an in-place refresh: the edited
+  // function's entries are stale under the new preorder, so its queries
+  // are deferred by the workers and answered by the calling thread, while
+  // every other function's queries are read concurrently. This runs under
+  // TSan in CI.
+  Module M(8, 0xDEFE);
+  std::vector<BatchQuery> Workload =
+      BatchLivenessDriver::generateWorkload(M.Funcs, 0x5EA5, 20000);
+  ASSERT_EQ(Workload.size(), 20000u);
+  BatchOptions Opts;
+  Opts.Threads = 4;
+  BatchLivenessDriver Driver(M.Funcs, Opts);
+  (void)Driver.run(Workload);
+
+  // Reference caches over the same analyses, filled by one sequential
+  // ensure() pass per run over the queries the driver answers through the
+  // cache (an edit can strip a value's last use; such queries are dead
+  // without a lookup).
+  AnalysisManager &AM = Driver.analysisManager();
+  std::vector<std::unique_ptr<PreparedCache>> Ref;
+  for (const Function *F : M.Funcs) {
+    FunctionAnalyses &FA = AM.get(*F);
+    Ref.push_back(std::make_unique<PreparedCache>(*F, FA.liveCheck(),
+                                                  FA.domTree()));
+    Ref.back()->sizeToFunction();
+  }
+  auto SequentialPass = [&] {
+    for (const BatchQuery &Q : Workload) {
+      const Value &V = *M.Funcs[Q.FuncIndex]->value(Q.ValueId);
+      if (V.hasSingleDef() && V.hasUses())
+        Ref[Q.FuncIndex]->ensure(V);
+    }
+  };
+  SequentialPass();
+
+  // Edit function 2 until its dominance preorder shifts, refreshing the
+  // analyses in place after every edit (the server's CFG-edit path).
+  Function &Edited = *M.Owned[2];
+  FunctionAnalyses &FA = AM.get(Edited);
+  std::vector<unsigned> NumsBefore;
+  for (unsigned B = 0; B != Edited.numBlocks(); ++B)
+    NumsBefore.push_back(FA.domTree().num(B));
+  RandomEngine Rng(0xED17);
+  bool Renumbered = false;
+  for (unsigned Try = 0; Try != 20 && !Renumbered; ++Try) {
+    if (!mutateFunctionCFG(Edited, Rng))
+      continue;
+    ASSERT_EQ(&AM.refresh(Edited), &FA) << "refresh must repair in place";
+    for (unsigned B = 0; B != NumsBefore.size(); ++B)
+      Renumbered |= FA.domTree().num(B) != NumsBefore[B];
+  }
+  ASSERT_TRUE(Renumbered) << "no edit shifted the preorder";
+
+  BatchResult R = Driver.run(Workload);
+  SequentialPass();
+
+  BatchOptions OracleOpts;
+  OracleOpts.Threads = 1;
+  OracleOpts.Plane = QueryPlane::BlockId;
+  BatchResult Oracle = BatchLivenessDriver(M.Funcs, OracleOpts).run(Workload);
+  EXPECT_EQ(R.Answers, Oracle.Answers)
+      << "4-thread prepared answers diverge from the 1-thread block-id "
+         "oracle after the edit";
+
+  std::uint64_t EditedDrops = 0;
+  for (std::size_t FI = 0; FI != M.Funcs.size(); ++FI) {
+    SCOPED_TRACE("function " + std::to_string(FI));
+    ASSERT_NE(Driver.preparedCache(FI), nullptr);
+    PreparedCacheStats Got = Driver.preparedCache(FI)->stats();
+    PreparedCacheStats Want = Ref[FI]->stats();
+    EXPECT_EQ(Got.Hits, Want.Hits);
+    EXPECT_EQ(Got.Builds, Want.Builds);
+    EXPECT_EQ(Got.Rebuilds, Want.Rebuilds);
+    EXPECT_EQ(Got.EpochDrops, Want.EpochDrops);
+    if (FI == 2)
+      EditedDrops = Got.EpochDrops;
+    else
+      EXPECT_EQ(Got.EpochDrops, 0u) << "only the edited function drops";
+  }
+  EXPECT_GT(EditedDrops, 0u) << "the edit must drop prepared entries";
+}
+
+TEST(BatchDriver, WarmSmallBatchStaysOnTheCallingThread) {
+  // A warm batch of at most one maximal chunk (4,096 queries) submits no
+  // pool task and answers exactly like the same queries inside a larger
+  // batch that fans out.
+  Module M(6, 0x1A1E);
+  std::vector<BatchQuery> Large =
+      BatchLivenessDriver::generateWorkload(M.Funcs, 0x5A11, 12000);
+  ASSERT_EQ(Large.size(), 12000u);
+  std::vector<BatchQuery> Small(Large.begin(), Large.begin() + 4096);
+
+  BatchOptions Opts;
+  Opts.Threads = 4;
+  BatchLivenessDriver Driver(M.Funcs, Opts);
+  BatchResult Fanned = Driver.run(Large);
+  ASSERT_GT(Fanned.PerThread.size(), 1u);
+
+  const telemetry::Registry &Reg = telemetry::Registry::global();
+  std::uint64_t Before = Reg.value("ssalive_pool_tasks_total");
+  BatchResult Inline = Driver.run(Small);
+  EXPECT_EQ(Reg.value("ssalive_pool_tasks_total"), Before)
+      << "a warm small batch must not reach the pool";
+  EXPECT_EQ(Inline.Answers,
+            std::vector<std::uint8_t>(Fanned.Answers.begin(),
+                                      Fanned.Answers.begin() + 4096));
+  EXPECT_EQ(Inline.PerThread[0].ChunksClaimed, 1u);
+  LiveCheckStats Engine = Inline.totalEngineStats();
+  EXPECT_EQ(Engine.LiveInQueries + Engine.LiveOutQueries, Small.size());
 }
 
 TEST(BatchDriver, WorkloadGenerationIsDeterministic) {

@@ -8,7 +8,8 @@
 // (or synthesizes a SPEC-profile one), runs a query workload through the
 // concurrent pipeline with a selectable backend, and prints a throughput
 // report. Throughput is end to end per run: the precompute phase (engine
-// builds and the prepared plane's ensure sweep) plus the query fan-out.
+// builds) plus the query pass, which on the prepared plane also validates
+// each cache entry and rebuilds the stale ones.
 //
 //   ssalive-batch [options] [module.ssair]
 //     --backend=propagated|dataflow|path-exploration
@@ -210,7 +211,7 @@ int main(int Argc, char **Argv) {
     for (const BatchThreadStats &S : Last.PerThread)
       Positive += S.PositiveAnswers;
     std::printf("  run %u%s: %.0f q/s end to end over %.2f ms "
-                "(precompute %.2f ms + query fan-out %.2f ms), "
+                "(precompute %.2f ms + query pass %.2f ms), "
                 "%llu live (%.1f%%), %llu targets visited\n",
                 Run + 1, Run == 0 ? " (cold)" : " (warm)",
                 Last.queriesPerSecond(),
