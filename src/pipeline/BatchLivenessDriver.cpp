@@ -6,11 +6,9 @@
 
 #include "pipeline/BatchLivenessDriver.h"
 
-#include "core/UseInfo.h"
 #include "ir/Function.h"
 #include "liveness/DataflowLiveness.h"
 #include "liveness/PathExplorationLiveness.h"
-#include "support/Pool.h"
 #include "support/RandomEngine.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -77,30 +75,6 @@ bool ssalive::isValidBatchBackendId(unsigned Id) {
   return false;
 }
 
-const char *ssalive::queryPlaneName(QueryPlane P) {
-  switch (P) {
-  case QueryPlane::BlockId:
-    return "block-id";
-  case QueryPlane::Prepared:
-    return "prepared";
-  }
-  return "unknown";
-}
-
-bool ssalive::parseQueryPlane(const std::string &Name, QueryPlane &Out) {
-  for (QueryPlane P : {QueryPlane::BlockId, QueryPlane::Prepared})
-    if (Name == queryPlaneName(P)) {
-      Out = P;
-      return true;
-    }
-  return false;
-}
-
-bool ssalive::isValidQueryPlaneId(unsigned Id) {
-  return Id == static_cast<unsigned>(QueryPlane::BlockId) ||
-         Id == static_cast<unsigned>(QueryPlane::Prepared);
-}
-
 std::uint64_t BatchResult::checksum() const {
   // Sequential FNV-style fold: position-sensitive, so any differing answer
   // (not just a differing multiset) changes the digest.
@@ -164,12 +138,12 @@ bool queryableValue(const Value &V) {
 /// more than it could save.
 constexpr std::size_t MaxChunk = 4096;
 
-/// How many queries ahead the prepared-plane loop prefetches. A
+/// How many queries ahead the LiveCheck query loop prefetches. A
 /// value-random stream misses cache on the Value and on its cache entry;
 /// eight queries of scan work cover most of that latency.
 constexpr std::size_t PrefetchDistance = 8;
 
-/// Answer-slot mark of a prepared-plane query whose cache entry was stale
+/// Answer-slot mark of a LiveCheck query whose cache entry was stale
 /// when a worker read it. It is answered once the calling thread has
 /// rebuilt the entry.
 constexpr std::uint8_t Deferred = 2;
@@ -193,9 +167,9 @@ bool answerPrepared(const LiveCheck &E, const LiveCheck::PreparedVar &P,
 /// What one worker (or the calling thread) accumulates over its queries.
 struct WorkerTally {
   BatchThreadStats Stats;
-  /// Prepared plane: queries this worker marked Deferred.
+  /// Queries this worker marked Deferred.
   std::uint64_t NumDeferred = 0;
-  /// Prepared plane: fresh entries read, per function, credited to each
+  /// Fresh cache entries read, per function, credited to each
   /// cache's hit counter after the fan-out.
   std::vector<std::uint64_t> Hits;
 };
@@ -217,11 +191,10 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   auto PreStart = Clock::now();
   SSALIVE_SPAN("query-batch");
   std::vector<const LiveCheck *> Engines;
-  const bool UsesPreparedCache =
-      usesLiveCheck() && Opts.Plane == QueryPlane::Prepared;
+  const bool UsesLiveCheck = usesLiveCheck();
   {
   SSALIVE_SPAN("precompute");
-  if (usesLiveCheck()) {
+  if (UsesLiveCheck) {
     // One manager lookup per function. Engines already built (all of
     // them, in a warm batch) are taken as they are; a single cold engine
     // is built inline and several fan out across the pool. A warm batch
@@ -243,19 +216,17 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       Build(0);
     else if (!Cold.empty())
       Pool->parallelFor(0, Cold.size(), Build);
-    // The prepared plane keeps one cache per function across batches. Its
-    // entries are validated per query in phase 2, not here.
-    if (UsesPreparedCache) {
-      Prepared.resize(Funcs.size());
-      for (std::size_t I = 0; I != Funcs.size(); ++I) {
-        const DomTree &DT = Analyses[I]->domTree();
-        if (!Prepared[I])
-          Prepared[I] =
-              std::make_unique<PreparedCache>(*Funcs[I], *Engines[I], DT);
-        else
-          Prepared[I]->rebind(*Engines[I], DT);
-        Prepared[I]->sizeToFunction();
-      }
+    // One prepared cache per function, kept across batches. Its entries
+    // are validated per query in phase 2, not here.
+    Prepared.resize(Funcs.size());
+    for (std::size_t I = 0; I != Funcs.size(); ++I) {
+      const DomTree &DT = Analyses[I]->domTree();
+      if (!Prepared[I])
+        Prepared[I] =
+            std::make_unique<PreparedCache>(*Funcs[I], *Engines[I], DT);
+      else
+        Prepared[I]->rebind(*Engines[I], DT);
+      Prepared[I]->sizeToFunction();
     }
   } else if (Baselines.empty()) {
     Baselines.resize(Funcs.size());
@@ -277,7 +248,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   // bytes are independent of the thread count and chunking (the
   // scheduler-equivalence suite pins this).
   //
-  // The prepared plane validates on read. A fresh cache entry is answered
+  // LiveCheck backends validate on read. A fresh cache entry is answered
   // in place and counted as a hit. A stale one (a value not yet prepared,
   // or invalidated by an edit) is marked Deferred and left for the calling
   // thread, the caches' only writer, after the workers are done.
@@ -285,12 +256,8 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   const std::size_t NumQueries = Workload.size();
   auto answerRange = [&](std::size_t Begin, std::size_t End,
                          WorkerTally &T) {
-    // Scratch, reused across queries and (through the thread-local pools)
-    // across batches: the buffers keep their capacity between runs.
-    auto UsesH = pool::scratchArray();
-    std::vector<unsigned> &Uses = *UsesH;
     for (std::size_t I = Begin; I != End; ++I) {
-      if (UsesPreparedCache && I + PrefetchDistance < NumQueries) {
+      if (UsesLiveCheck && I + PrefetchDistance < NumQueries) {
         const BatchQuery &Ahead = Workload[I + PrefetchDistance];
         prefetchValue(Funcs[Ahead.FuncIndex]->value(Ahead.ValueId));
         Prepared[Ahead.FuncIndex]->prefetch(Ahead.ValueId);
@@ -301,7 +268,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       const Value &V = *F.value(Q.ValueId);
       bool Answer = false;
       if (queryableValue(V)) {
-        if (UsesPreparedCache) {
+        if (UsesLiveCheck) {
           const PreparedCache &C = *Prepared[Q.FuncIndex];
           if (!C.isFresh(V)) {
             Result.Answers[I] = Deferred;
@@ -311,15 +278,6 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
           ++T.Hits[Q.FuncIndex];
           Answer = answerPrepared(*Engines[Q.FuncIndex], C.cached(V), Q,
                                   T.Stats.Engine);
-        } else if (usesLiveCheck()) {
-          // The block-id oracle re-derives the variable per query.
-          const LiveCheck &E = *Engines[Q.FuncIndex];
-          Uses.clear();
-          appendLiveUseBlocks(V, Uses);
-          unsigned Def = defBlockId(V);
-          Answer = Q.IsLiveOut
-                       ? E.isLiveOut(Def, Q.BlockId, Uses, &T.Stats.Engine)
-                       : E.isLiveIn(Def, Q.BlockId, Uses, &T.Stats.Engine);
         } else {
           LivenessQueries &B = *Baselines[Q.FuncIndex];
           const BasicBlock &Block = *F.block(Q.BlockId);
@@ -330,8 +288,8 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       T.Stats.PositiveAnswers += Answer;
     }
   };
-  // Prepared-plane queries that were deferred, answered once ensure() made
-  // their entries fresh again.
+  // Queries that were deferred, answered once ensure() made their entries
+  // fresh again.
   auto answerDeferred = [&](std::size_t Begin, std::size_t End,
                             WorkerTally &T) {
     for (std::size_t I = Begin; I != End; ++I) {
@@ -348,7 +306,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   };
 
   std::vector<WorkerTally> Tallies(NumWorkers);
-  if (UsesPreparedCache)
+  if (UsesLiveCheck)
     for (WorkerTally &T : Tallies)
       T.Hits.assign(Funcs.size(), 0);
   // Runs Pass(Begin, End, Tally) over the whole workload: on the calling
@@ -417,7 +375,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   // stream would. Then the deferred queries are answered like any other,
   // across the pool when there are more than one chunk's worth (a cold
   // batch defers all of them).
-  if (UsesPreparedCache) {
+  if (UsesLiveCheck) {
     std::uint64_t NumDeferred = 0;
     for (const WorkerTally &T : Tallies) {
       NumDeferred += T.NumDeferred;
@@ -462,7 +420,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       static_cast<std::uint64_t>(Result.PrecomputeMillis * 1e6));
   T.QueryBatchNs.observe(
       static_cast<std::uint64_t>(Result.QueryMillis * 1e6));
-  if (UsesPreparedCache)
+  if (UsesLiveCheck)
     publishPreparedTelemetry();
   return Result;
 }

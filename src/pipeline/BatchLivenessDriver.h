@@ -15,10 +15,12 @@
 /// unboundedly many queries) scaled from one function to a module under
 /// heavy query traffic.
 ///
-/// A frame makes one pass over its queries. On the prepared plane the
-/// workers validate each cache entry on read and defer the stale ones;
-/// the calling thread, the caches' only writer, rebuilds those after the
-/// fan-out and has them answered. There is no separate ensure pass. A
+/// LiveCheck backends answer every query from a per-function PreparedCache
+/// entry, the value in the engine's coordinates, so a value queried in any
+/// earlier batch costs no chain walk again. A frame makes one pass over its
+/// queries: the workers validate each cache entry on read and defer the
+/// stale ones; the calling thread, the caches' only writer, rebuilds those
+/// after the fan-out and has them answered. There is no separate ensure pass. A
 /// batch of at most one maximal chunk (4,096 queries) is answered on the
 /// calling thread, so a warm small frame hands the pool nothing.
 ///
@@ -71,27 +73,6 @@ bool parseBatchBackend(const std::string &Name, BatchBackend &Out);
 /// True when \p Id is the wire id of a BatchBackend enumerator.
 bool isValidBatchBackendId(unsigned Id);
 
-/// Which LiveCheck entry point answers each query (LiveCheck backends only;
-/// the baselines ignore it). Both planes answer identically. Prepared is
-/// the production default and carries cross-batch state: the driver keeps
-/// a per-function PreparedCache, so a value queried in any earlier batch
-/// costs no chain walk ever again. BlockId re-derives the variable per
-/// query through the classic block-id entry points and is the oracle the
-/// differential suites compare against. Explicit values are wire ids (see
-/// BatchBackend); 1 and 2 are retired.
-enum class QueryPlane : std::uint8_t {
-  BlockId = 0,  ///< Classic block-id spans (isLiveIn/isLiveOut).
-  Prepared = 3, ///< Cached PreparedVar entries (core/PreparedCache).
-};
-
-const char *queryPlaneName(QueryPlane P);
-
-/// Parses "block-id", "prepared".
-bool parseQueryPlane(const std::string &Name, QueryPlane &Out);
-
-/// True when \p Id is the wire id of a QueryPlane enumerator.
-bool isValidQueryPlaneId(unsigned Id);
-
 /// True when \p B answers through the cached LiveCheck engines (and thus
 /// benefits from AnalysisManager::refresh after CFG edits); false for the
 /// standalone baselines, which are simply rebuilt.
@@ -111,10 +92,6 @@ struct BatchOptions {
   /// Worker threads for both phases; 0 = hardware concurrency. Ignored
   /// when the driver is constructed over a shared pool.
   unsigned Threads = 1;
-  /// LiveCheck entry point per query (see QueryPlane). The cached
-  /// prepared plane is the production default; block-id re-derives the
-  /// variable per query and serves as the differential oracle.
-  QueryPlane Plane = QueryPlane::Prepared;
 };
 
 /// Per-worker tallies; aggregation across workers is a fold, never a shared
@@ -138,15 +115,15 @@ struct BatchResult {
   /// for every thread count by construction.
   std::vector<std::uint8_t> Answers;
   /// One slot per worker. Slot 0 also counts the queries the calling
-  /// thread answers itself: a batch, or a set of deferred prepared-plane
-  /// queries, that fits one chunk.
+  /// thread answers itself: a batch, or a set of deferred queries, that
+  /// fits one chunk.
   std::vector<BatchThreadStats> PerThread;
   double PrecomputeMillis = 0;
   double QueryMillis = 0;
 
   std::uint64_t numQueries() const { return Answers.size(); }
   /// End-to-end throughput of the run: both phases. Engine builds are
-  /// timed in PrecomputeMillis; the prepared plane's entry validation and
+  /// timed in PrecomputeMillis; the prepared caches' entry validation and
   /// rebuilds happen inside the query pass, in QueryMillis.
   double queriesPerSecond() const {
     double Millis = PrecomputeMillis + QueryMillis;
@@ -188,9 +165,9 @@ public:
   /// epoch-validated entries).
   AnalysisManager &analysisManager() { return Manager; }
 
-  /// The per-function prepared caches of the default query plane (null
-  /// until a prepared-plane run() touched that function). Entries persist
-  /// across run() calls — the "skip per-query use-block collection" regime
+  /// The per-function prepared caches of the LiveCheck backends (null
+  /// until a run() touched that function). Entries persist across run()
+  /// calls — the "skip per-query use-block collection" regime
   /// the server's long-lived sessions amortize into — and survive CFG
   /// edits through the PreparedCache epoch contract (stale values are
   /// dropped and rebuilt lazily against the refreshed analyses).
@@ -229,7 +206,7 @@ private:
   ThreadPool *Pool;                      ///< Owned or shared; never null.
   /// Baseline engines per function (Dataflow/PathExploration backends).
   std::vector<std::unique_ptr<LivenessQueries>> Baselines;
-  /// Per-function prepared caches (QueryPlane::Prepared); persist across
+  /// Per-function prepared caches (LiveCheck backends); persist across
   /// run() calls, rebound when the AnalysisManager rebuilt a function's
   /// analyses wholesale.
   std::vector<std::unique_ptr<PreparedCache>> Prepared;

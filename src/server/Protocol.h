@@ -12,7 +12,8 @@
 ///   Payload := u8 Opcode | Body
 ///
 /// Requests:
-///   LoadModule   u8 backend | u8 plane | <rest: .ssair module text>
+///   LoadModule   u8 backend | u8 plane | <rest: .ssair module text> —
+///                plane is a reserved byte that must be 3 (QueryPlane)
 ///   QueryBatch   u32 count | count x (u32 func | u32 value | u32 block |
 ///                u8 flags; bit0 = live-out)
 ///   EditCFG      u32 count | count x (u8 kind | u32 func | u32 from |
@@ -94,6 +95,16 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+namespace ssalive {
+
+/// The LoadModule plane byte. Every session answers through the prepared
+/// caches, so the byte is reserved and 3 is its one valid value; the ids
+/// of retired planes (0, 1, 2) are answered with Error(BadPlane) rather
+/// than mapped onto another entry point.
+enum class QueryPlane : std::uint8_t { Prepared = 3 };
+
+} // namespace ssalive
 
 namespace ssalive::protocol {
 

@@ -215,8 +215,8 @@ std::vector<std::uint8_t> Session::handleLoadModule(WireReader &R) {
   // than silently mapped onto another engine.
   if (!isValidBatchBackendId(Backend))
     return countedError(ErrorCode::BadBackend, "unknown backend id");
-  if (!isValidQueryPlaneId(Plane))
-    return countedError(ErrorCode::BadPlane, "unknown query plane id");
+  if (Plane != static_cast<std::uint8_t>(QueryPlane::Prepared))
+    return countedError(ErrorCode::BadPlane, "plane byte must be 3");
 
   std::string Text = R.rest();
   ModuleParseResult P = parseModule(Text);
@@ -248,7 +248,6 @@ std::vector<std::uint8_t> Session::handleLoadModule(WireReader &R) {
   }
   BatchOptions DOpts;
   DOpts.Backend = static_cast<BatchBackend>(Backend);
-  DOpts.Plane = static_cast<QueryPlane>(Plane);
   Driver = std::make_unique<BatchLivenessDriver>(FuncPtrs, DOpts,
                                                  Owner.pool());
   return encodeModuleLoaded(static_cast<std::uint32_t>(Module.size()),

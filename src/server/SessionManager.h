@@ -29,9 +29,9 @@
 /// own copy of the module can therefore predict every reply bit, which is
 /// the contract the differential soak suite enforces.
 ///
-/// Sessions default to the driver's cached prepared plane: each value's
-/// use blocks are collected and renumbered once (core/PreparedCache) and
-/// reused across every later query batch of the connection; CFG edits
+/// LiveCheck sessions answer through the driver's prepared caches: each
+/// value's use blocks are collected and renumbered once (core/PreparedCache)
+/// and reused across every later query batch of the connection; CFG edits
 /// invalidate the affected entries through the cache's epoch contract, so
 /// a long-lived session pays the chain walk once per value per edit, not
 /// once per query.

@@ -9,7 +9,9 @@
 #include "analysis/DFS.h"
 #include "analysis/DomTree.h"
 #include "analysis/Reducibility.h"
+#include "ir/Clone.h"
 #include "ir/Function.h"
+#include "ir/Instruction.h"
 
 #include <algorithm>
 
@@ -37,6 +39,26 @@ bool allReachable(const CFG &G) {
       }
   }
   return Count == N;
+}
+
+/// Strict SSA under \p DT: every single-def value's def block dominates
+/// each of its Definition-1 use blocks (a φ operand is used at its
+/// incoming block).
+bool usesDominated(const Function &F, const DomTree &DT) {
+  for (const auto &V : F.values()) {
+    if (!V->hasSingleDef())
+      continue;
+    unsigned Def = V->defs().front()->parent()->id();
+    for (const Use &U : V->uses()) {
+      const Instruction *User = U.User;
+      unsigned UseBlock = User->isPhi()
+                              ? User->incomingBlock(U.OperandIndex)->id()
+                              : User->parent()->id();
+      if (!DT.dominates(Def, UseBlock))
+        return false;
+    }
+  }
+  return true;
 }
 
 bool isReducible(const CFG &G) {
@@ -287,13 +309,26 @@ ssalive::mutateFunctionCFG(Function &F, RandomEngine &Rng,
                            const CFGMutatorOptions &Opts) {
   // Decide on a scratch copy (absorbing all rejected candidates), then
   // replay the single accepted edit against the function so its delta
-  // journal records exactly the clean batch.
-  CFG Scratch = CFG::fromFunction(F);
-  auto M = mutateCFG(Scratch, Rng, Opts);
-  if (!M)
-    return std::nullopt;
-  bool Applied = applyFunctionMutation(F, *M);
-  assert(Applied && "a mutation accepted on the scratch graph must apply");
-  (void)Applied;
-  return M;
+  // journal records exactly the clean batch. Strict mode replays each
+  // candidate on a clone first and keeps it only if the clone stays
+  // strict under the scratch graph's dominator tree.
+  const unsigned Attempts = Opts.PreserveStrictSSA ? 16 : 1;
+  for (unsigned Try = 0; Try != Attempts; ++Try) {
+    CFG Scratch = CFG::fromFunction(F);
+    auto M = mutateCFG(Scratch, Rng, Opts);
+    if (!M)
+      return std::nullopt;
+    if (Opts.PreserveStrictSSA) {
+      std::unique_ptr<Function> Trial = cloneFunction(F);
+      applyFunctionMutation(*Trial, *M);
+      DFS D(Scratch);
+      if (!usesDominated(*Trial, DomTree(Scratch, D)))
+        continue;
+    }
+    bool Applied = applyFunctionMutation(F, *M);
+    assert(Applied && "a mutation accepted on the scratch graph must apply");
+    (void)Applied;
+    return M;
+  }
+  return std::nullopt;
 }

@@ -59,6 +59,11 @@ struct CFGMutatorOptions {
   /// Only apply edits that keep the graph reducible (verified; candidates
   /// that break it are rolled back and retried).
   bool PreserveReducibility = false;
+  /// mutateFunctionCFG only: apply an edit only if every single-def value
+  /// still dominates its uses afterwards (strict SSA, the precondition of
+  /// liveness checking). The mutator otherwise keeps reachability, not
+  /// strictness. Up to 16 candidates are tried on a clone of the function.
+  bool PreserveStrictSSA = false;
   /// SplitBlock stops proposing once the graph reaches this many nodes.
   unsigned MaxNodes = 4096;
   /// Mutation mix, in percent; the remainder becomes SplitBlock.
@@ -87,7 +92,7 @@ std::optional<Mutation> mutateCFG(CFG &G, RandomEngine &Rng,
 /// Liveness-analysis invariants are maintained (reachability; φ operand
 /// lists stay parallel to shrinking predecessor lists); full IR executable
 /// well-formedness (terminator shapes) is not, which the analyses never
-/// inspect.
+/// inspect, and neither is strict SSA unless Opts.PreserveStrictSSA is set.
 std::optional<Mutation> mutateFunctionCFG(Function &F, RandomEngine &Rng,
                                           const CFGMutatorOptions &Opts = {});
 

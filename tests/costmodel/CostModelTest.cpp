@@ -8,7 +8,7 @@
 // time: a query visits the targets of T_q inside sdom(def) and runs an R_t
 // membership test per use, and R/T cost n²/8 bytes each. For a fixed input
 // those counts are exact, so this suite pins them on fixed seeds — scan
-// work per ablation variant, the engine counters of both query planes at 1
+// work per ablation variant, the driver's engine counters at 1
 // and 4 threads, resident bytes per size tier, prepared-cache hit/build/
 // drop counts, incremental repair counts, and the pool fan-out of a warm
 // driver run. Any change to the engine's work moves a pin; a change that
@@ -130,41 +130,31 @@ TEST(CostModel, ScanWorkPerAblationVariant) {
   }
 }
 
-TEST(CostModel, PlanesAndThreadCountsDoEqualWork) {
-  // Both planes run one scan over the same interval, so they visit the
-  // same targets and give the same answers at any thread count. Use tests
-  // differ by plane: the prepared cache sorts and dedups each use span and
-  // masks high-use-count values (one test per target), while the block-id
-  // plane probes the raw use list per query.
+TEST(CostModel, ThreadCountsDoEqualWork) {
+  // The query pass runs one scan per query over the same interval at any
+  // thread count, so 1 and 4 threads visit the same targets, run the same
+  // use tests (the prepared cache sorts and dedups each use span and masks
+  // high-use-count values: one test per target) and give the same answers.
   const std::uint64_t PinnedIn = 25046, PinnedOut = 24954,
-                      PinnedTargets = 21340;
+                      PinnedTargets = 21340, PinnedUseTests = 35031;
   const std::uint64_t PinnedChecksum = 0x2432290f00777eb5ull;
-  struct Pin {
-    QueryPlane Plane;
-    std::uint64_t UseTests;
-  };
-  const Pin Pins[] = {{QueryPlane::Prepared, 35031},
-                      {QueryPlane::BlockId, 39096}};
 
   Module M;
   std::vector<BatchQuery> Workload =
       BatchLivenessDriver::generateWorkload(M.Funcs, 0xC057, 50000);
   ASSERT_EQ(Workload.size(), 50000u);
-  for (const Pin &P : Pins)
-    for (unsigned Threads : {1u, 4u}) {
-      BatchOptions Opts;
-      Opts.Plane = P.Plane;
-      Opts.Threads = Threads;
-      BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(Workload);
-      LiveCheckStats S = R.totalEngineStats();
-      SCOPED_TRACE(std::string(queryPlaneName(P.Plane)) + " plane, " +
-                   std::to_string(Threads) + " threads");
-      EXPECT_EQ(S.LiveInQueries, PinnedIn);
-      EXPECT_EQ(S.LiveOutQueries, PinnedOut);
-      EXPECT_EQ(S.TargetsVisited, PinnedTargets);
-      EXPECT_EQ(S.UseTests, P.UseTests);
-      EXPECT_EQ(R.checksum(), PinnedChecksum);
-    }
+  for (unsigned Threads : {1u, 4u}) {
+    BatchOptions Opts;
+    Opts.Threads = Threads;
+    BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(Workload);
+    LiveCheckStats S = R.totalEngineStats();
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    EXPECT_EQ(S.LiveInQueries, PinnedIn);
+    EXPECT_EQ(S.LiveOutQueries, PinnedOut);
+    EXPECT_EQ(S.TargetsVisited, PinnedTargets);
+    EXPECT_EQ(S.UseTests, PinnedUseTests);
+    EXPECT_EQ(R.checksum(), PinnedChecksum);
+  }
 }
 
 TEST(CostModel, ResidentBytesPerTier) {

@@ -8,9 +8,9 @@
 // byte-identical to the single-threaded run (queries are read-only against
 // shared engines; every answer has its own slot), every backend must agree
 // with every other, and the analysis cache must amortize across runs. The
-// prepared plane validates cache entries on read and defers stale ones to
-// the calling thread; its answers and cache counters must match the
-// block-id oracle and a sequential ensure() pass.
+// LiveCheck backend validates prepared-cache entries on read and defers
+// stale ones to the calling thread; its answers must match the 1-thread
+// dataflow baseline and its cache counters a sequential ensure() pass.
 //
 //===----------------------------------------------------------------------===//
 
@@ -180,11 +180,12 @@ TEST(BatchDriver, PerThreadStatsCoverTheWholeWorkload) {
          "never draws those";
 }
 
-TEST(BatchDriver, ThreadCountsAndPlanesAreByteIdentical) {
+TEST(BatchDriver, ThreadCountsAreByteIdenticalToTheDataflowOracle) {
   // The scheduler-equivalence suite: a skewed workload (hot values
-  // repeated across many chunks) and a uniform one, answered under every
-  // {1 thread, N threads} × {block-id, prepared} combination — all
-  // byte-identical to the 1-thread block-id oracle. The adaptive chunk
+  // repeated across many chunks) and a uniform one, answered by the
+  // LiveCheck backend at 1 and N threads — all byte-identical to the
+  // 1-thread dataflow baseline, which shares no engine, cache or repair
+  // code with it. The adaptive chunk
   // rule gives 33 chunks over 4 queues for both the 9000- and the
   // 18000-query workload, so steals actually happen; this suite runs under
   // TSan in CI, so the atomic chunk-cursor claiming is race-checked here,
@@ -205,25 +206,23 @@ TEST(BatchDriver, ThreadCountsAndPlanesAreByteIdentical) {
 
   for (const std::vector<BatchQuery> *Workload : {&Uniform, &Skewed}) {
     BatchOptions Ref;
+    Ref.Backend = BatchBackend::Dataflow;
     Ref.Threads = 1;
-    Ref.Plane = QueryPlane::BlockId;
     BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(*Workload);
     ASSERT_EQ(Oracle.Answers.size(), Workload->size());
 
-    for (QueryPlane Plane : {QueryPlane::BlockId, QueryPlane::Prepared})
-      for (unsigned Threads : {1u, 4u}) {
-        BatchOptions Opts;
-        Opts.Threads = Threads;
-        Opts.Plane = Plane;
-        BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(*Workload);
-        EXPECT_EQ(R.Answers, Oracle.Answers)
-            << "plane " << queryPlaneName(Plane) << ", " << Threads
-            << " threads diverges from the 1-thread block-id oracle";
-      }
+    for (unsigned Threads : {1u, 4u}) {
+      BatchOptions Opts;
+      Opts.Threads = Threads;
+      BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(*Workload);
+      EXPECT_EQ(R.Answers, Oracle.Answers)
+          << Threads << " threads diverges from the 1-thread dataflow "
+          << "oracle";
+    }
   }
 
-  // The baselines ignore the plane but still ride the work-stealing
-  // scheduler; pin them on the skewed workload too.
+  // The baselines ride the same work-stealing scheduler; pin them on the
+  // skewed workload too.
   for (BatchBackend B :
        {BatchBackend::Dataflow, BatchBackend::PathExploration}) {
     BatchOptions Ref;
@@ -241,7 +240,7 @@ TEST(BatchDriver, ThreadCountsAndPlanesAreByteIdentical) {
 }
 
 TEST(BatchDriver, DeferredMissesAfterARenumberingEditMatchTheOracle) {
-  // A 4-thread prepared-plane batch after an in-place refresh: the edited
+  // A 4-thread batch after an in-place refresh: the edited
   // function's entries are stale under the new preorder, so its queries
   // are deferred by the workers and answered by the calling thread, while
   // every other function's queries are read concurrently. This runs under
@@ -284,9 +283,12 @@ TEST(BatchDriver, DeferredMissesAfterARenumberingEditMatchTheOracle) {
   for (unsigned B = 0; B != Edited.numBlocks(); ++B)
     NumsBefore.push_back(FA.domTree().num(B));
   RandomEngine Rng(0xED17);
+  // The dataflow oracle below agrees with LiveCheck only on strict SSA.
+  CFGMutatorOptions MOpts;
+  MOpts.PreserveStrictSSA = true;
   bool Renumbered = false;
   for (unsigned Try = 0; Try != 20 && !Renumbered; ++Try) {
-    if (!mutateFunctionCFG(Edited, Rng))
+    if (!mutateFunctionCFG(Edited, Rng, MOpts))
       continue;
     ASSERT_EQ(&AM.refresh(Edited), &FA) << "refresh must repair in place";
     for (unsigned B = 0; B != NumsBefore.size(); ++B)
@@ -298,12 +300,12 @@ TEST(BatchDriver, DeferredMissesAfterARenumberingEditMatchTheOracle) {
   SequentialPass();
 
   BatchOptions OracleOpts;
+  OracleOpts.Backend = BatchBackend::Dataflow;
   OracleOpts.Threads = 1;
-  OracleOpts.Plane = QueryPlane::BlockId;
   BatchResult Oracle = BatchLivenessDriver(M.Funcs, OracleOpts).run(Workload);
   EXPECT_EQ(R.Answers, Oracle.Answers)
-      << "4-thread prepared answers diverge from the 1-thread block-id "
-         "oracle after the edit";
+      << "4-thread answers diverge from the 1-thread dataflow oracle "
+         "after the edit";
 
   std::uint64_t EditedDrops = 0;
   for (std::size_t FI = 0; FI != M.Funcs.size(); ++FI) {

@@ -72,7 +72,7 @@ public:
         S(Mgr.createSession()) {
     auto F = randomSSAFunction(7001, {/*TargetBlocks=*/12});
     Text = printFunction(*F);
-    auto Reply = S->handle(proto::encodeLoadModule(0, 0, Text));
+    auto Reply = S->handle(proto::encodeLoadModule(0, 3, Text));
     EXPECT_EQ(Reply[0],
               static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded));
   }
@@ -128,7 +128,7 @@ TEST(ProtocolFuzz, TruncatedRequestBodiesYieldErrorsNeverCrashes) {
   // reply must always be a well-formed reply frame (almost always an
   // Error; a truncated LoadModule body can be a BadModule parse error).
   std::vector<std::vector<std::uint8_t>> Requests = {
-      proto::encodeLoadModule(0, 0, L.text()),
+      proto::encodeLoadModule(0, 3, L.text()),
       proto::encodeQueryBatch({{0, 1, 2, true}, {0, 3, 4, false}}),
       proto::encodeEditBatch({{0, 0, 1, 2, 0}}),
       proto::encodeStats(),
@@ -201,39 +201,39 @@ TEST(ProtocolFuzz, OutOfRangeIdsAndKindsAreRejected) {
 TEST(ProtocolFuzz, BadBackendPlaneAndModuleTextAreRejected) {
   server::SessionManager Mgr({});
   auto S = Mgr.createSession();
-  EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(99, 0, "func")),
+  EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(99, 3, "func")),
                       proto::ErrorCode::BadBackend));
   EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(0, 77, "func")),
                       proto::ErrorCode::BadPlane));
   // Retired wire ids (the filtered, sorted, bitset and block-sweep
-  // backends; the nums and mask planes) must not map onto a surviving
-  // engine.
+  // backends; the block-id, nums and mask planes) must not map onto a
+  // surviving engine.
   for (std::uint8_t Retired : {1, 2, 3, 4})
     EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(Retired, 3, "func")),
                         proto::ErrorCode::BadBackend))
         << "backend " << unsigned(Retired);
-  for (std::uint8_t Retired : {1, 2})
+  for (std::uint8_t Retired : {0, 1, 2})
     EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(0, Retired, "func")),
                         proto::ErrorCode::BadPlane))
         << "plane " << unsigned(Retired);
-  EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(0, 0, "")),
+  EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(0, 3, "")),
                       proto::ErrorCode::BadModule));
   EXPECT_TRUE(
-      isError(S->handle(proto::encodeLoadModule(0, 0, "garbage \x01\x02")),
+      isError(S->handle(proto::encodeLoadModule(0, 3, "garbage \x01\x02")),
               proto::ErrorCode::BadModule));
   // Non-SSA input parses but fails verification.
   std::string NonSSA = "func @f {\nbb0:\n  %a = const 1\n  %a = const 2\n"
                        "  ret %a\n}\n";
-  EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(0, 0, NonSSA)),
+  EXPECT_TRUE(isError(S->handle(proto::encodeLoadModule(0, 3, NonSSA)),
                       proto::ErrorCode::BadModule));
   // The session must still be usable afterwards.
   auto F = randomSSAFunction(7002, {/*TargetBlocks=*/10});
-  auto Reply = S->handle(proto::encodeLoadModule(0, 0, printFunction(*F)));
+  auto Reply = S->handle(proto::encodeLoadModule(0, 3, printFunction(*F)));
   EXPECT_EQ(Reply[0],
             static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded));
   // Every surviving (backend, plane) wire pair still loads.
   for (std::uint8_t Backend : {0, 5, 6})
-    for (std::uint8_t Plane : {0, 3}) {
+    for (std::uint8_t Plane : {3}) {
       Reply = S->handle(
           proto::encodeLoadModule(Backend, Plane, printFunction(*F)));
       EXPECT_EQ(Reply[0],
@@ -534,7 +534,7 @@ TEST(ProtocolFuzz, DisconnectMidReplyDoesNotWedgeTheServer) {
   });
   std::vector<std::uint8_t> Reply;
   ASSERT_TRUE(proto::roundTrip(Pair[0], Pair[0],
-                               proto::encodeLoadModule(0, 0, Text), Reply));
+                               proto::encodeLoadModule(0, 3, Text), Reply));
   ASSERT_EQ(Reply[0],
             static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded));
   // Ship the big batch and hang up without reading a byte of the reply.

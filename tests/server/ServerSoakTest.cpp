@@ -5,15 +5,17 @@
 //===----------------------------------------------------------------------===//
 //
 // The differential soak harness of the liveness server: several concurrent
-// clients (>= 4), each with its own module, backend, and query plane,
-// replay randomized query+edit streams against one LivenessServer over
-// socketpair transports — >= 100k requests in total — and every single
-// reply is compared byte for byte against an in-process oracle built from
-// the exact bytes each client sent. Edits are chosen by the CFGMutator on
-// the oracle copy and shipped as deterministic replays, so the server's
-// refresh plane and the oracle stay in lockstep; any divergence (a stale
-// repatch, a cross-session race on the shared pool, a framing bug) shows
-// up as a byte mismatch with a replayable (client, seed, request) tag.
+// clients (>= 4), each with its own module and backend, replay randomized
+// query+edit streams against one LivenessServer over socketpair
+// transports — >= 100k requests in total — and every single reply is
+// compared byte for byte against an in-process oracle built from the exact
+// bytes each client sent. The oracle is a 1-thread dataflow-baseline
+// driver, which shares no engine, cache or incremental repair with the
+// server's LiveCheck sessions, so a repair bug cannot cancel out on both
+// sides. Edits are chosen by the CFGMutator on the oracle copy and shipped
+// as deterministic replays; any divergence (a stale repatch, a
+// cross-session race on the shared pool, a framing bug) shows up as a byte
+// mismatch with a replayable (client, seed, request) tag.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +53,6 @@ namespace {
 struct ClientPlan {
   std::uint64_t Seed;
   BatchBackend Backend;
-  QueryPlane Plane;
   unsigned Iterations;
   unsigned QueriesPerBatch;
   unsigned EditPercent; ///< Chance an iteration sends edits, in percent.
@@ -82,14 +83,13 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
   auto tag = [&](const char *What, std::uint64_t Index) {
     std::ostringstream OS;
     OS << "client " << ClientId << " seed=" << Plan.Seed << " backend="
-       << batchBackendName(Plan.Backend) << " plane="
-       << queryPlaneName(Plan.Plane) << ": " << What << " #" << Index
+       << batchBackendName(Plan.Backend) << ": " << What << " #" << Index
        << " (replay: rerun this client alone with this seed)";
     return OS.str();
   };
 
   // The oracle: parse the same text the server will parse, drive it with
-  // a single-threaded driver of the same backend/plane.
+  // a single-threaded driver.
   std::string Text = makeModuleText(Plan.Seed, /*NumFuncs=*/4);
   ModuleParseResult Oracle = parseModule(Text);
   if (!Oracle.Error.empty()) {
@@ -103,15 +103,12 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
     Blocks += F->numBlocks();
     Values += F->numValues();
   }
-  // The oracle always answers through the classic block-id entry points,
-  // whatever plane the server session runs: all planes answer identically
-  // by construction, so every byte-compared Answers frame below doubles
-  // as a cross-plane differential — in particular the cached prepared
-  // plane (the server default) is checked bit for bit against block-id
-  // entries across the whole query+edit stream.
+  // The oracle is the dataflow baseline whatever backend the server
+  // session runs: every backend answers identically, so each
+  // byte-compared Answers frame below checks the server's prepared caches
+  // and incremental repair against code they share nothing with.
   BatchOptions OOpts;
-  OOpts.Backend = Plan.Backend;
-  OOpts.Plane = QueryPlane::BlockId;
+  OOpts.Backend = BatchBackend::Dataflow;
   OOpts.Threads = 1;
   BatchLivenessDriver OracleDriver(Funcs, OOpts);
 
@@ -119,7 +116,7 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
   if (!roundTrip(Fd,
                  proto::encodeLoadModule(
                      static_cast<std::uint8_t>(Plan.Backend),
-                     static_cast<std::uint8_t>(Plan.Plane), Text),
+                     static_cast<std::uint8_t>(QueryPlane::Prepared), Text),
                  Reply)) {
     ADD_FAILURE() << tag("load transport", 0);
     return 0;
@@ -134,6 +131,9 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
   RandomEngine Rng(Plan.Seed * 7919 + ClientId);
   CFGMutatorOptions MOpts;
   MOpts.MaxNodes = 128;
+  // Liveness is defined for strict SSA only; on a function an edit left
+  // non-strict, LiveCheck and the dataflow oracle may legitimately differ.
+  MOpts.PreserveStrictSSA = true;
   std::uint64_t Requests = 0;
   std::uint64_t ExpectQueries = 0, ExpectEdits = 0;
 
@@ -150,8 +150,6 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
         auto M = mutateFunctionCFG(F, Rng, MOpts);
         if (!M)
           continue;
-        if (batchBackendUsesLiveCheck(Plan.Backend))
-          OracleDriver.analysisManager().refresh(F);
         Items.push_back({static_cast<std::uint8_t>(M->Kind), FI, M->From,
                          M->To, M->To2});
         Expect.emplace_back(1, F.cfgVersion());
@@ -167,8 +165,6 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
         // consistently; mirror the decision locally either way.
         Mutation M{MutationKind::AddEdge, 0, 0, 0};
         bool Applied = applyFunctionMutation(F, M);
-        if (Applied && batchBackendUsesLiveCheck(Plan.Backend))
-          OracleDriver.analysisManager().refresh(F);
         Items.push_back({static_cast<std::uint8_t>(M.Kind), FI, M.From,
                          M.To, M.To2});
         Expect.emplace_back(Applied ? 1 : 0, F.cfgVersion());
@@ -246,23 +242,18 @@ TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
   Cfg.Threads = 2; // Sharded fan-out shared by all sessions.
   server::LivenessServer Server(Cfg);
 
-  // Six clients across backends and query planes; the shapes chosen so
-  // the request total comfortably clears 100k. The cached prepared plane
-  // (the production default) runs under edit streams of different
-  // density, so stale-entry bugs in the cache interaction surface as byte
-  // mismatches against the block-id oracle.
+  // Six clients across backends; the shapes chosen so the request total
+  // comfortably clears 100k. The LiveCheck sessions run under edit streams
+  // of different density, so stale-entry bugs in the prepared caches and
+  // the incremental repair surface as byte mismatches against the
+  // dataflow oracle.
   std::vector<ClientPlan> Plans = {
-      {1001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
-       42, 8},
-      {1002, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 560,
-       42, 6},
-      {1003, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
-       42, 8},
-      {1004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 560,
-       42, 6},
-      {1005, BatchBackend::Dataflow, QueryPlane::BlockId, 150, 42, 4},
-      {1006, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
-       42, 12},
+      {1001, BatchBackend::LiveCheckPropagated, 560, 42, 8},
+      {1002, BatchBackend::LiveCheckPropagated, 560, 42, 6},
+      {1003, BatchBackend::LiveCheckPropagated, 560, 42, 8},
+      {1004, BatchBackend::LiveCheckPropagated, 560, 42, 6},
+      {1005, BatchBackend::Dataflow, 150, 42, 4},
+      {1006, BatchBackend::LiveCheckPropagated, 560, 42, 12},
   };
 
   std::vector<int> ClientFds;
@@ -280,7 +271,7 @@ TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
 
   // Registry reconcile: the process-wide telemetry counter must advance by
   // exactly the number of queries the clients' oracles ledger — across six
-  // concurrent sessions, three backends, and both planes. (Snapshot deltas,
+  // concurrent sessions and two backends. (Snapshot deltas,
   // not absolutes: earlier tests in this binary also serve queries.)
   std::uint64_t QueriesBefore =
       telemetry::Registry::global().value("ssalive_server_queries_total");
@@ -346,9 +337,8 @@ TEST(ServerSoak, UnixSocketAcceptLoopServesAndShutsDown) {
   for (unsigned I = 0; I != 2; ++I) {
     Clients.emplace_back([&, I] {
       int Fd = connect();
-      ClientPlan Plan{2000 + I, BatchBackend::LiveCheckPropagated,
-                      I == 0 ? QueryPlane::BlockId : QueryPlane::Prepared, 40,
-                      32, 10};
+      ClientPlan Plan{2000 + I, BatchBackend::LiveCheckPropagated, 40, 32,
+                      10};
       Requests.fetch_add(runClient(Fd, Plan, I));
       ::close(Fd);
     });
@@ -373,8 +363,8 @@ TEST(ServerSoak, UnixSocketAcceptLoopServesAndShutsDown) {
 // reconnects with Resume, and every reply — before the kill, re-sent as
 // pending, and after the resume — must be byte-identical to an
 // uninterrupted in-process oracle session fed the same sequence. Soaked
-// across both LiveCheck flavors and both planes concurrently against one
-// server, beside plain differential clients on every backend.
+// concurrently against one server, beside plain differential clients on
+// every backend.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -410,8 +400,7 @@ bool readResumed(const std::vector<std::uint8_t> &Reply, std::uint64_t &Sid,
 }
 
 void runResumeClient(std::uint16_t Port, std::uint64_t Seed,
-                     BatchBackend Backend, QueryPlane Plane,
-                     unsigned ClientId,
+                     BatchBackend Backend, unsigned ClientId,
                      std::atomic<std::uint64_t> *QueryLedger = nullptr) {
   auto tag = [&](const char *What, std::size_t Index) {
     std::ostringstream OS;
@@ -437,8 +426,8 @@ void runResumeClient(std::uint16_t Port, std::uint64_t Seed,
   std::uint64_t QueriesInStream = 0;
   std::vector<std::vector<std::uint8_t>> Requests;
   Requests.push_back(proto::encodeLoadModule(
-      static_cast<std::uint8_t>(Backend), static_cast<std::uint8_t>(Plane),
-      Text));
+      static_cast<std::uint8_t>(Backend),
+      static_cast<std::uint8_t>(QueryPlane::Prepared), Text));
   while (Requests.size() != TotalFrames) {
     if (Rng.chancePercent(10)) {
       std::vector<proto::EditItem> Items;
@@ -570,35 +559,32 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
       telemetry::Registry::global().value("ssalive_server_queries_total");
   std::atomic<std::uint64_t> QueryLedger{0};
 
-  // Three sessions concurrently: two on the cached prepared plane and one
-  // on block-id — so the replayed journals rebuild both planes.
+  // Three resumed sessions concurrently, so the replayed journals rebuild
+  // prepared caches next to each other on the shared pool.
   struct ResumePlanEntry {
     std::uint64_t Seed;
     BatchBackend Backend;
-    QueryPlane Plane;
   };
   std::vector<ResumePlanEntry> Plans = {
-      {3001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {3002, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {3003, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
+      {3001, BatchBackend::LiveCheckPropagated},
+      {3002, BatchBackend::LiveCheckPropagated},
+      {3003, BatchBackend::LiveCheckPropagated},
   };
   // Plain differential clients on the same server, covering the baseline
   // backends too: journal replay runs next to live sessions on the shared
   // pool, and neither may perturb the other's bytes.
   std::vector<ClientPlan> Plain = {
-      {3101, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 400,
-       24, 10},
-      {3102, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 400,
-       24, 10},
-      {3103, BatchBackend::Dataflow, QueryPlane::BlockId, 400, 24, 10},
-      {3104, BatchBackend::PathExploration, QueryPlane::BlockId, 400, 24, 10},
+      {3101, BatchBackend::LiveCheckPropagated, 400, 24, 10},
+      {3102, BatchBackend::LiveCheckPropagated, 400, 24, 10},
+      {3103, BatchBackend::Dataflow, 400, 24, 10},
+      {3104, BatchBackend::PathExploration, 400, 24, 10},
   };
   std::vector<std::thread> Clients;
   for (std::size_t I = 0; I != Plans.size(); ++I)
     Clients.emplace_back([&, I] {
       runResumeClient(Server.boundTcpPort(), Plans[I].Seed,
-                      Plans[I].Backend, Plans[I].Plane,
-                      static_cast<unsigned>(I), &QueryLedger);
+                      Plans[I].Backend, static_cast<unsigned>(I),
+                      &QueryLedger);
     });
   std::atomic<std::uint64_t> PlainRequests{0};
   for (std::size_t I = 0; I != Plain.size(); ++I)

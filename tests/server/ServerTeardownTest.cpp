@@ -586,7 +586,7 @@ TEST(SessionResume, JournalOverflowLatchesTheSessionUnresumable) {
     S->handle(proto::encodeStats());
   EXPECT_TRUE(S->resumable());
   std::string Big(64, 'x');
-  S->handle(proto::encodeLoadModule(0, 0, Big)); // Overflows the journal.
+  S->handle(proto::encodeLoadModule(0, 3, Big)); // Overflows the journal.
   EXPECT_FALSE(S->resumable());
   // Still serving, just not resumable anymore.
   EXPECT_EQ(S->handle(proto::encodeStats())[0],

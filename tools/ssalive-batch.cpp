@@ -8,18 +8,14 @@
 // (or synthesizes a SPEC-profile one), runs a query workload through the
 // concurrent pipeline with a selectable backend, and prints a throughput
 // report. Throughput is end to end per run: the precompute phase (engine
-// builds) plus the query pass, which on the prepared plane also validates
-// each cache entry and rebuilds the stale ones.
+// builds) plus the query pass, which for the propagated backend also
+// validates each cache entry and rebuilds the stale ones.
 //
 //   ssalive-batch [options] [module.ssair]
 //     --backend=propagated|dataflow|path-exploration
 //                 propagated is the paper's engine (Section-5.2 T sets);
 //                 dataflow and path-exploration are the independent
 //                 baselines
-//     --plane=block-id|prepared
-//                 LiveCheck entry point per query (default prepared — the
-//                 cached per-value plane; block-id re-derives the variable
-//                 per query and is the differential oracle)
 //     --threads=N     worker threads (default 1; 0 = hardware concurrency)
 //     --queries=N     workload size (default 500000)
 //     --seed=S        workload RNG seed (default 42)
@@ -29,8 +25,9 @@
 //     --generate=N    ignore input file, synthesize N SPEC-profile
 //                     functions (default when no file is given: 64)
 //     --verify        cross-check the parallel answers against a
-//                     single-threaded run and (prepared plane) the
-//                     block-id plane
+//                     single-threaded run and (propagated backend) a
+//                     single-threaded run of the dataflow baseline, which
+//                     shares no engine, cache or repair code with it
 //     --verify-all    additionally demand every other backend agrees on
 //                     the whole workload
 //     --expect-checksum=HEX
@@ -62,7 +59,6 @@ namespace {
 
 struct CliOptions {
   BatchBackend Backend = BatchBackend::LiveCheckPropagated;
-  QueryPlane Plane = QueryPlane::Prepared;
   unsigned Threads = 1;
   std::size_t Queries = 500000;
   std::uint64_t Seed = 42;
@@ -88,11 +84,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     if (Arg.rfind("--backend=", 0) == 0) {
       if (!parseBatchBackend(Arg.substr(10), Opts.Backend)) {
         std::fprintf(stderr, "unknown backend '%s'\n", Arg.c_str() + 10);
-        return false;
-      }
-    } else if (Arg.rfind("--plane=", 0) == 0) {
-      if (!parseQueryPlane(Arg.substr(8), Opts.Plane)) {
-        std::fprintf(stderr, "unknown query plane '%s'\n", Arg.c_str() + 8);
         return false;
       }
     } else if (Arg.rfind("--threads=", 0) == 0 &&
@@ -193,15 +184,13 @@ int main(int Argc, char **Argv) {
 
   BatchOptions DOpts;
   DOpts.Backend = Opts.Backend;
-  DOpts.Plane = Opts.Plane;
   DOpts.Threads = Opts.Threads;
   BatchLivenessDriver Driver(Funcs, DOpts);
 
   std::printf("ssalive-batch: %zu functions (%zu blocks, %zu values), "
-              "%zu queries, backend=%s, plane=%s, threads=%u\n",
+              "%zu queries, backend=%s, threads=%u\n",
               Funcs.size(), TotalBlocks, TotalValues, Workload.size(),
-              batchBackendName(Opts.Backend), queryPlaneName(Opts.Plane),
-              Driver.numThreads());
+              batchBackendName(Opts.Backend), Driver.numThreads());
 
   BatchResult Last;
   for (unsigned Run = 0; Run != Opts.Repeat; ++Run) {
@@ -266,23 +255,21 @@ int main(int Argc, char **Argv) {
                   Driver.numThreads());
     }
 
-    // Plane differential: the cached prepared plane must answer
-    // bit-identically to the classic block-id entry points on the same
-    // backend.
-    if (batchBackendUsesLiveCheck(Opts.Backend) &&
-        Opts.Plane != QueryPlane::BlockId) {
-      BatchOptions POpts = SOpts;
-      POpts.Plane = QueryPlane::BlockId;
-      BatchLivenessDriver BlockId(Funcs, POpts);
-      BatchResult PlaneRef = BlockId.run(Workload);
-      if (PlaneRef.Answers != Last.Answers) {
-        std::fprintf(stderr, "FAIL: %s plane answers differ from the "
-                             "block-id plane\n",
-                     queryPlaneName(Opts.Plane));
+    // Independent differential: the engine must answer bit-identically to
+    // the iterative dataflow baseline, which shares no engine, cache or
+    // repair code with it.
+    if (batchBackendUsesLiveCheck(Opts.Backend)) {
+      BatchOptions DfOpts = SOpts;
+      DfOpts.Backend = BatchBackend::Dataflow;
+      BatchLivenessDriver Dataflow(Funcs, DfOpts);
+      if (Dataflow.run(Workload).Answers != Last.Answers) {
+        std::fprintf(stderr, "FAIL: %s answers differ from the dataflow "
+                             "baseline\n",
+                     batchBackendName(Opts.Backend));
         Failed = true;
       } else {
-        std::printf("  verify: %s plane identical to block-id plane\n",
-                    queryPlaneName(Opts.Plane));
+        std::printf("  verify: %s identical to dataflow baseline\n",
+                    batchBackendName(Opts.Backend));
       }
     }
 

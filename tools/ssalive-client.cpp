@@ -7,7 +7,9 @@
 // Drives a running (or freshly spawned) ssalive-server through the wire
 // protocol: loads a module, streams query batches and CFG-edit commands,
 // and optionally verifies every reply byte-for-byte against an in-process
-// BatchLivenessDriver oracle built from the exact bytes that were sent.
+// oracle built from the exact bytes that were sent: a single-threaded
+// dataflow-baseline driver, which shares no engine, cache or repair code
+// with the server's LiveCheck sessions.
 //
 //   ssalive-client --connect=/path/sock [options]      talk to a server
 //   ssalive-client --connect-tcp=[HOST:]PORT [options] over TCP (IPv4)
@@ -23,9 +25,6 @@
 //                             end to end (needs a reconnectable
 //                             transport, i.e. not pipe)
 //     --backend=NAME          propagated|dataflow|path-exploration
-//     --plane=NAME            block-id|prepared (LiveCheck entry point
-//                             used per query; default prepared — the
-//                             server-side cached plane)
 //     --generate=N            synthesize N SPEC-profile functions
 //                             (default 8 when no module file is given)
 //     --seed=S --queries=N --batch=K --repeat=R
@@ -83,7 +82,6 @@ struct CliOptions {
   bool TcpTransport = false;
   bool Resume = false;
   BatchBackend Backend = BatchBackend::LiveCheckPropagated;
-  QueryPlane Plane = QueryPlane::Prepared;
   unsigned Generate = 0;
   std::uint64_t Seed = 42;
   std::size_t Queries = 200000;
@@ -139,11 +137,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--backend=", 0) == 0) {
       if (!parseBatchBackend(Arg.substr(10), Opts.Backend)) {
         std::fprintf(stderr, "unknown backend '%s'\n", Arg.c_str() + 10);
-        return false;
-      }
-    } else if (Arg.rfind("--plane=", 0) == 0) {
-      if (!parseQueryPlane(Arg.substr(8), Opts.Plane)) {
-        std::fprintf(stderr, "unknown query plane '%s'\n", Arg.c_str() + 8);
         return false;
       }
     } else if (Arg.rfind("--generate=", 0) == 0 &&
@@ -476,13 +469,12 @@ int main(int Argc, char **Argv) {
     TotalBlocks += F->numBlocks();
     TotalValues += F->numValues();
   }
-  // The oracle answers through the block-id entry points whatever plane
-  // the server session runs: all planes are answer-identical by
-  // construction, so every --verify byte-compare doubles as a cross-plane
-  // differential (in particular of the server's cached prepared plane).
+  // The oracle is the iterative dataflow baseline whatever backend the
+  // server session runs: every backend answers identically, and this one
+  // shares no engine, cache or incremental repair with LiveCheck, so a
+  // repair bug on the server cannot cancel out against the oracle.
   BatchOptions OOpts;
-  OOpts.Backend = Opts.Backend;
-  OOpts.Plane = QueryPlane::BlockId;
+  OOpts.Backend = BatchBackend::Dataflow;
   OOpts.Threads = 1;
   BatchLivenessDriver OracleDriver(OracleFuncs, OOpts);
 
@@ -591,7 +583,8 @@ int main(int Argc, char **Argv) {
 
   // ---- Load.
   if (!rt(proto::encodeLoadModule(static_cast<std::uint8_t>(Opts.Backend),
-                                  static_cast<std::uint8_t>(Opts.Plane),
+                                  static_cast<std::uint8_t>(
+                                      QueryPlane::Prepared),
                                   Text),
           Reply)) {
     std::fprintf(stderr, "transport failure during load-module\n");
@@ -607,16 +600,18 @@ int main(int Argc, char **Argv) {
     }
   }
   std::printf("ssalive-client: loaded %zu functions (%llu blocks, %llu "
-              "values), backend=%s, plane=%s\n",
+              "values), backend=%s\n",
               Oracle.Funcs.size(),
               static_cast<unsigned long long>(TotalBlocks),
               static_cast<unsigned long long>(TotalValues),
-              batchBackendName(Opts.Backend), queryPlaneName(Opts.Plane));
+              batchBackendName(Opts.Backend));
 
   // ---- Query/edit runs.
   RandomEngine EditRng(Opts.Seed * 31 + 7);
   CFGMutatorOptions MOpts;
   MOpts.MaxNodes = 4096;
+  // The oracle is only defined on strict SSA, so edits keep it.
+  MOpts.PreserveStrictSSA = true;
   std::uint64_t TotalQueries = 0;
   for (unsigned Run = 0; Run != Opts.Repeat; ++Run) {
     std::vector<BatchQuery> Workload = BatchLivenessDriver::generateWorkload(
@@ -675,8 +670,6 @@ int main(int Argc, char **Argv) {
         auto M = mutateFunctionCFG(F, EditRng, MOpts);
         if (!M)
           continue;
-        if (batchBackendUsesLiveCheck(Opts.Backend))
-          OracleDriver.analysisManager().refresh(F);
         Items.push_back({static_cast<std::uint8_t>(M->Kind), FI, M->From,
                          M->To, M->To2});
         Expect.emplace_back(1, F.cfgVersion());
